@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-EPS_DEGENERATE = 1e-8
+import numpy as np
+
+from .implicitsolve import EPS_DEGENERATE, cloud_lanes, lanes
+
 NORM_GUARD = 1e-300
 
 
@@ -27,7 +30,11 @@ class DegenerateSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Values and first partials of (p, q, r) at one spacetime point."""
+    """Values and first partials of (p, q, r) at one point or a cloud.
+
+    For a cloud every field is an array with one lane per point, point is
+    the (N, 4) array and report the RootTable of the chosen roots.
+    """
 
     p: float
     q: float
@@ -63,7 +70,16 @@ class FieldSample:
                      "q_x", "q_y", "q_t",
                      "r_x", "r_y", "r_z", "r_t")
 
+    def lane(self, k: int) -> "FieldSample":
+        """The one-point sample at lane k of a cloud sample."""
+        vals = {name: float(getattr(self, name)[k])
+                for name in FIELD_NAMES}
+        report = None if self.report is None else self.report[k]
+        return FieldSample(point=tuple(self.point[k].tolist()),
+                           source=self.source, report=report, **vals)
 
+
+FIELD_NAMES = ("p", "q", "r") + FieldSample.PARTIAL_NAMES
 ZERO_SAMPLE = FieldSample(*([0.0] * 14))
 
 
@@ -83,14 +99,26 @@ class ResidualReport:
 # Derivative formulas
 # ---------------------------------------------------------------------------
 
-def shock_derivatives(sdef, shared, point, proot: float,
+def _sample(point, proot, values, D, source, report) -> FieldSample:
+    """FieldSample from lane arrays; a single point gets Python floats."""
+    if np.any(np.abs(D) < EPS_DEGENERATE):
+        raise DegenerateSampleError(float(D[np.argmin(np.abs(D))]))
+    n = len(proot)
+    values = {name: lanes(v, n) for name, v in values.items()}
+    if np.ndim(point) == 1:
+        return FieldSample(point=tuple(point), source=source, report=report,
+                           **{name: float(v[0]) for name, v in
+                              values.items()})
+    return FieldSample(point=point, source=source, report=report, **values)
+
+
+def shock_derivatives(sdef, shared, point, proot,
                       source=None, report=None) -> FieldSample:
     """Implicit differentiation of x + S F'(p) + G(p) = 0, S = a+b+d.
 
     q = m(y) + beta'(y) F(p), r = n(z) + delta'(z) F(p).
     """
-    x, y, z, t = point
-    p = float(proot)
+    (x, y, z, t), p = cloud_lanes(point, proot)
     F0 = sdef.F.compiled((0,))(p)
     F1 = sdef.F.compiled((1,))(p)
     F2 = sdef.F.compiled((2,))(p)
@@ -107,14 +135,13 @@ def shock_derivatives(sdef, shared, point, proot: float,
     S = (shared.alpha.compiled((0,))(t) + shared.beta.compiled((0,))(y)
          + shared.delta.compiled((0,))(z))
 
-    D = S * F2 + G1
-    if abs(D) < EPS_DEGENERATE:
-        raise DegenerateSampleError(D)
-    p_x = -1.0 / D
-    p_y = -be1 * F1 / D
-    p_z = -de1 * F1 / D
-    p_t = -al1 * F1 / D
-    return FieldSample(
+    D = lanes(S * F2 + G1, len(p))
+    with np.errstate(all="ignore"):
+        p_x = -1.0 / D
+        p_y = -be1 * F1 / D
+        p_z = -de1 * F1 / D
+        p_t = -al1 * F1 / D
+    return _sample(point, p, dict(
         p=p,
         q=m0 + be1 * F0,
         r=n0 + de1 * F0,
@@ -125,19 +152,17 @@ def shock_derivatives(sdef, shared, point, proot: float,
         r_x=de1 * F1 * p_x,
         r_y=de1 * F1 * p_y,
         r_z=n1 + de2 * F0 + de1 * F1 * p_z,
-        r_t=de1 * F1 * p_t,
-        point=tuple(point), source=source, report=report)
+        r_t=de1 * F1 * p_t), D, source, report)
 
 
-def general_derivatives(gdef, point, proot: float,
+def general_derivatives(gdef, point, proot,
                         source=None, report=None) -> FieldSample:
     """Implicit differentiation of x + d1Q + d1R + T(p,t) = 0.
 
     D = d11Q + d11R + d1T (the d1T term is required: T enters the relation
     directly, confirmed against the finite-difference oracle).
     """
-    x, y, z, t = point
-    p = float(proot)
+    (x, y, z, t), p = cloud_lanes(point, proot)
     Q12 = gdef.Q.compiled((1, 1))(p, y)
     Q2 = gdef.Q.compiled((0, 1))(p, y)
     Q22 = gdef.Q.compiled((0, 2))(p, y)
@@ -149,14 +174,13 @@ def general_derivatives(gdef, point, proot: float,
     T1 = gdef.T.compiled((1, 0))(p, t)
     T2 = gdef.T.compiled((0, 1))(p, t)
 
-    D = Q11 + R11 + T1
-    if abs(D) < EPS_DEGENERATE:
-        raise DegenerateSampleError(D)
-    p_x = -1.0 / D
-    p_y = -Q12 / D
-    p_z = -R12 / D
-    p_t = -T2 / D
-    return FieldSample(
+    D = lanes(Q11 + R11 + T1, len(p))
+    with np.errstate(all="ignore"):
+        p_x = -1.0 / D
+        p_y = -Q12 / D
+        p_z = -R12 / D
+        p_t = -T2 / D
+    return _sample(point, p, dict(
         p=p,
         q=Q2,
         r=R2,
@@ -167,8 +191,7 @@ def general_derivatives(gdef, point, proot: float,
         r_x=R12 * p_x,
         r_y=R12 * p_y,
         r_z=R22 + R12 * p_z,
-        r_t=R12 * p_t,
-        point=tuple(point), source=source, report=report)
+        r_t=R12 * p_t), D, source, report)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +204,14 @@ def poisson_bracket(a: dict, b: dict, axes) -> float:
     return a[mu] * b[nu] - a[nu] * b[mu]
 
 
+def _scale(*terms):
+    """Largest magnitude among the terms, lane by lane."""
+    out = abs(terms[0])
+    for v in terms[1:]:
+        out = np.maximum(out, abs(v))
+    return out
+
+
 def ghe_residual(s: FieldSample, shared) -> ResidualReport:
     """Field-form equation residual a{r,p}_{yt} + b{r,q}_{xt}."""
     a, b = shared.a, shared.b
@@ -189,18 +220,15 @@ def ghe_residual(s: FieldSample, shared) -> ResidualReport:
     t3 = b * s.r_x * s.q_t
     t4 = b * s.r_t * s.q_x
     value = (t1 - t2) + (t3 - t4)
-    scale = max(abs(t1), abs(t2), abs(t3), abs(t4))
-    return ResidualReport(value=value, scale=scale, point=s.point,
-                          equation="ghe")
+    return ResidualReport(value=value, scale=_scale(t1, t2, t3, t4),
+                          point=s.point, equation="ghe")
 
 
 def compat_residuals(s: FieldSample):
     """Cross-derivative compatibility: p_y - q_x and p_z - r_x."""
-    r1 = ResidualReport(value=s.p_y - s.q_x,
-                        scale=max(abs(s.p_y), abs(s.q_x)),
+    r1 = ResidualReport(value=s.p_y - s.q_x, scale=_scale(s.p_y, s.q_x),
                         point=s.point, equation="compat_py_qx")
-    r2 = ResidualReport(value=s.p_z - s.r_x,
-                        scale=max(abs(s.p_z), abs(s.r_x)),
+    r2 = ResidualReport(value=s.p_z - s.r_x, scale=_scale(s.p_z, s.r_x),
                         point=s.point, equation="compat_pz_rx")
     return r1, r2
 
@@ -217,37 +245,35 @@ def pairwise_balance(si: FieldSample, sj: FieldSample, shared) -> ResidualReport
     """Two-solution balance condition (the superposition cross term)."""
     t = _cross_terms(si, sj, shared.a, shared.b)
     value = (t[0] - t[1]) + (t[2] - t[3]) + (t[4] - t[5]) + (t[6] - t[7])
-    scale = max(abs(v) for v in t)
-    return ResidualReport(value=value, scale=scale, point=si.point,
+    return ResidualReport(value=value, scale=_scale(*t), point=si.point,
                           equation="pairwise_balance")
 
 
 def n_term_balance(samples, shared) -> ResidualReport:
     """Sum of all i != j cross terms; for n = 2 this is pairwise_balance."""
     point = samples[0].point if samples else ()
-    if len(samples) < 2:
-        return ResidualReport(value=0.0, scale=0.0, point=point,
-                              equation="n_term_balance")
-    value = 0.0
-    scale = 0.0
+    value = scale = 0.0 if not samples or np.ndim(samples[0].p) == 0 \
+        else np.zeros(np.shape(samples[0].p))
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             rep = pairwise_balance(samples[i], samples[j], shared)
-            value += rep.value
-            scale = max(scale, rep.scale)
+            value = value + rep.value
+            scale = np.maximum(scale, rep.scale)
     return ResidualReport(value=value, scale=scale, point=point,
                           equation="n_term_balance")
 
 
-def reduced_balance(gdef1, gdef2, shared, point, p1: float,
-                    p2: float) -> ResidualReport:
+def reduced_balance(gdef1, gdef2, shared, point, p1,
+                    p2) -> ResidualReport:
     """Balance condition reduced to the general-family arbitrary functions.
 
     a [d12R2 - d12R1] [(d2T1)(d12Q2) - (d2T2)(d12Q1)]
       - b [d2T2 - d2T1] [(d12Q1)(d12R2) - (d12Q2)(d12R1)]
-    with seed-i functions evaluated at (p_i, y/z/t).
+    with seed-i functions evaluated at (p_i, y/z/t).  point is one point or
+    an (N, 4) cloud with one root per row in p1 and p2.
     """
-    x, y, z, t = point
+    (x, y, z, t), p1 = cloud_lanes(point, p1)
+    p2 = np.asarray(p2, dtype=float).reshape(-1)
     a, b = shared.a, shared.b
     Q12_1 = gdef1.Q.compiled((1, 1))(p1, y)
     Q12_2 = gdef2.Q.compiled((1, 1))(p2, y)
@@ -262,7 +288,10 @@ def reduced_balance(gdef1, gdef2, shared, point, p1: float,
     C = T2_2 - T2_1
     rhs1 = b * C * Q12_1 * R12_2
     rhs2 = b * C * Q12_2 * R12_1
-    value = (lhs1 - lhs2) - (rhs1 - rhs2)
-    scale = max(abs(lhs1), abs(lhs2), abs(rhs1), abs(rhs2))
-    return ResidualReport(value=value, scale=scale, point=tuple(point),
+    value = lanes((lhs1 - lhs2) - (rhs1 - rhs2), len(p1))
+    scale = lanes(_scale(lhs1, lhs2, rhs1, rhs2), len(p1))
+    if np.ndim(point) == 1:
+        return ResidualReport(value=float(value[0]), scale=float(scale[0]),
+                              point=tuple(point), equation="reduced_balance")
+    return ResidualReport(value=value, scale=scale, point=point,
                           equation="reduced_balance")

@@ -13,17 +13,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 from scipy.stats import qmc
 
 from . import calculus, fdoracle
-from .superpose import solve_point, superpose, verify_theorem
+from .superpose import (
+    FOLD,
+    HOLE,
+    OK,
+    STATUS,
+    solve_point,
+    summarize,
+    superpose,
+    verify_theorem,
+)
 from .exprdsl import ExprError, SmoothFn
-from .implicitsolve import BranchPolicy
+from .implicitsolve import BranchPolicy, as_cloud
 from .registry import (
     FamilyError,
     GeneralSolutionDef,
@@ -34,6 +43,8 @@ from .registry import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
+MAX_RESOLUTION = 65536      # scan grid bound: scan blocks scale with it
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,        # max normalized residual, expect=satisfy
@@ -75,8 +86,7 @@ class Scenario:
             return [tuple(float(v) for v in pt) for pt in self.explicit_points]
         count = int(count if count is not None else self.count)
         seed = int(seed if seed is not None else self.sample_seed)
-        if count <= 0:
-            raise ScenarioError("sampling count must be positive")
+        _check_count(count)
         lows = [self.box[ax][0] for ax in "xyzt"]
         highs = [self.box[ax][1] for ax in "xyzt"]
         if any(lo >= hi for lo, hi in zip(lows, highs)):
@@ -84,7 +94,15 @@ class Scenario:
         sampler = qmc.Halton(d=4, scramble=True, seed=seed)
         u = sampler.random(count)
         pts = qmc.scale(u, lows, highs)
-        return [tuple(float(v) for v in row) for row in pts]
+        return [tuple(row) for row in pts.tolist()]
+
+
+def _check_count(count: int):
+    if count <= 0:
+        raise ScenarioError("sampling count must be positive")
+    if count > MAX_POINTS:
+        raise ScenarioError(f"sampling count {count} exceeds the bound "
+                            f"of {MAX_POINTS} points")
 
 
 def _require_keys(obj: dict, allowed, required, where: str):
@@ -180,6 +198,7 @@ def load_scenario(path) -> Scenario:
         if not isinstance(explicit, list) or not explicit \
                 or any(len(pt) != 4 for pt in explicit):
             raise ScenarioError("sampling.points must list [x,y,z,t] rows")
+        _check_count(len(explicit))
     else:
         if "box" not in sampling:
             raise ScenarioError("sampling needs 'box' or 'points'")
@@ -191,11 +210,15 @@ def load_scenario(path) -> Scenario:
     branch = raw.get("branch", {})
     _require_keys(branch, ("p_lo", "p_hi", "resolution", "selection"), (),
                   "branch")
+    resolution = int(branch.get("resolution", 1024))
+    if resolution > MAX_RESOLUTION:
+        raise ScenarioError(f"branch: scan resolution {resolution} exceeds "
+                            f"the bound of {MAX_RESOLUTION}")
     try:
         policy = BranchPolicy(
             p_lo=float(branch.get("p_lo", -10.0)),
             p_hi=float(branch.get("p_hi", 10.0)),
-            resolution=int(branch.get("resolution", 1024)),
+            resolution=resolution,
             selection=branch.get("selection", "lowest"))
     except ValueError as exc:
         raise ScenarioError(f"branch: {exc}") from None
@@ -209,10 +232,13 @@ def load_scenario(path) -> Scenario:
     if expect not in ("satisfy", "violate"):
         raise ScenarioError(f"unknown expect value {expect!r}")
 
+    count = int(sampling.get("count", 1000))
+    if explicit is None:
+        _check_count(count)
     return Scenario(name=raw.get("name", path.stem),
                     family_kind=kind, shared=shared, seed_defs=defs,
                     coefficients=coeffs, box=box,
-                    count=int(sampling.get("count", 1000)),
+                    count=count,
                     sample_seed=int(sampling.get("seed", 0)),
                     explicit_points=explicit, policy=policy,
                     tolerances=tolerances, expect=expect,
@@ -236,7 +262,7 @@ def _write_report(path, payload):
 
 def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
+    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
     tol = dict(scenario.tolerances)
     if args.tol is not None:
         tol["residual"] = args.tol
@@ -282,14 +308,11 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     return (0 if not failures else 1), payload
 
 
-_FIELD_COLUMNS = ("p", "q", "r") + calculus.FieldSample.PARTIAL_NAMES
-
-
 def csv_header(n_seeds: int) -> list:
     cols = ["index", "status", "x", "y", "z", "t"]
     for i in range(1, n_seeds + 1):
-        cols += [f"s{i}_{name}" for name in _FIELD_COLUMNS]
-    cols += [f"sup_{name}" for name in _FIELD_COLUMNS]
+        cols += [f"s{i}_{name}" for name in calculus.FIELD_NAMES]
+    cols += [f"sup_{name}" for name in calculus.FIELD_NAMES]
     cols += [f"res_ghe_s{i}" for i in range(1, n_seeds + 1)]
     cols += ["res_ghe_sup", "res_compat_py_qx_sup", "res_compat_pz_rx_sup",
              "res_balance"]
@@ -298,37 +321,35 @@ def csv_header(n_seeds: int) -> list:
 
 def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
+    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
     out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
+    shared = family.shared
+
+    cloud, _failure = solve_point(family, points, scenario.policy)
+    samples = cloud.samples
+    sup = superpose(samples, scenario.coefficients)
+    compat = calculus.compat_residuals(sup)
+    columns = [getattr(s, name) for s in samples + [sup]
+               for name in calculus.FIELD_NAMES]
+    columns += [calculus.ghe_residual(s, shared).normalized
+                for s in samples + [sup]]
+    columns += [compat[0].normalized, compat[1].normalized,
+                calculus.n_term_balance(samples, shared).normalized]
+    values = np.column_stack(columns).tolist()
+    nan = ["nan"] * (len(csv_header(family.size)) - 6)
 
     def g(v):
         return f"{v:.17g}"
 
     rows = [",".join(csv_header(family.size))]
-    n_ok = 0
-    for idx, point in enumerate(points):
-        samples, failure = solve_point(family, point,
-                                                 scenario.policy)
-        if samples is None:
-            nan = ["nan"] * (len(csv_header(family.size)) - 6)
-            rows.append(",".join([str(idx), failure[0]]
-                                 + [g(v) for v in point] + nan))
-            continue
-        n_ok += 1
-        sup = superpose(samples, scenario.coefficients)
-        cells = [str(idx), "ok"] + [g(v) for v in point]
-        for s in samples:
-            cells += [g(getattr(s, name)) for name in _FIELD_COLUMNS]
-        cells += [g(getattr(sup, name)) for name in _FIELD_COLUMNS]
-        cells += [g(calculus.ghe_residual(s, family.shared).normalized)
-                  for s in samples]
-        cells.append(g(calculus.ghe_residual(sup, family.shared).normalized))
-        c1, c2 = calculus.compat_residuals(sup)
-        cells += [g(c1.normalized), g(c2.normalized)]
-        cells.append(g(calculus.n_term_balance(samples,
-                                               family.shared).normalized))
+    admissible = iter(values)
+    for idx, (point, status) in enumerate(zip(cloud.points.tolist(),
+                                              cloud.status.tolist())):
+        cells = [str(idx), STATUS[status]] + [g(v) for v in point]
+        cells += [g(v) for v in next(admissible)] if status == OK else nan
         rows.append(",".join(cells))
     out.write_text("\n".join(rows) + "\n")
+    n_ok = len(cloud.admissible)
     print(f"wrote {out} ({len(points)} points, {n_ok} admissible)")
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": "sample",
                "scenario": scenario.name, "csv": str(out),
@@ -338,38 +359,29 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
 
 def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
+    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
     tol = dict(scenario.tolerances)
     if args.tol is not None:
         tol["residual"] = args.tol
 
-    pairwise, nterm, reduced = [], [], []
-    n_admissible = 0
-    for point in points:
-        samples, _failure = solve_point(family, point,
-                                                  scenario.policy)
-        if samples is None:
-            continue
-        n_admissible += 1
-        for i in range(family.size):
-            for j in range(i + 1, family.size):
-                pairwise.append(calculus.pairwise_balance(
-                    samples[i], samples[j], family.shared).normalized)
-                if family.kind == "general":
-                    reduced.append(calculus.reduced_balance(
-                        family.defs[i], family.defs[j], family.shared,
-                        point, samples[i].p, samples[j].p).normalized)
-        nterm.append(calculus.n_term_balance(samples,
-                                             family.shared).normalized)
+    cloud, _failure = solve_point(family, points, scenario.policy)
+    samples, shared = cloud.samples, family.shared
+    admissible_points = cloud.points[cloud.admissible]
+    pairwise, reduced = [], []
+    for i in range(family.size):
+        for j in range(i + 1, family.size):
+            pairwise.append(calculus.pairwise_balance(
+                samples[i], samples[j], shared).normalized)
+            if family.kind == "general":
+                reduced.append(calculus.reduced_balance(
+                    family.defs[i], family.defs[j], shared,
+                    admissible_points, samples[i].p,
+                    samples[j].p).normalized)
+    nterm = calculus.n_term_balance(samples, shared).normalized
+    n_admissible = len(cloud.admissible)
 
-    def summary(vals):
-        if not vals:
-            return {"count": 0, "max": None, "median": None}
-        return {"count": len(vals), "max": max(vals),
-                "median": statistics.median(vals)}
-
-    result = {"pairwise": summary(pairwise), "n_term": summary(nterm),
-              "reduced": summary(reduced), "admissible": n_admissible}
+    result = {"pairwise": summarize(pairwise), "n_term": summarize([nterm]),
+              "reduced": summarize(reduced), "admissible": n_admissible}
 
     failures = []
     if n_admissible == 0:
@@ -380,7 +392,8 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
             if st["count"] and st["max"] > tol["residual"]:
                 failures.append(f"{name} balance residual above tolerance")
     else:
-        checked = result["reduced"] if reduced else result["pairwise"]
+        checked = result["reduced"] if result["reduced"]["count"] \
+            else result["pairwise"]
         if checked["count"] == 0 or checked["median"] <= tol["violation"]:
             failures.append("expected balance violation not observed")
 
@@ -404,20 +417,19 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
     count = args.points if args.points is not None else \
         min(scenario.count, 100)
-    points = scenario.points(count=count, seed=args.seed)
+    points = as_cloud(scenario.points(count=count, seed=args.seed))
     tol = args.tol if args.tol is not None else scenario.tolerances["fd"]
 
+    cloud, _failure = solve_point(family, points, scenario.policy)
+    # a solve-stage fold is |D| < FOLD_TOL: the near-fold rule itself
+    n_hole, n_near_fold = cloud.count(HOLE), cloud.count(FOLD)
     max_dev = 0.0
-    n_ok = n_near_fold = n_hole = 0
+    n_ok = 0
     relations = [family.relation(i) for i in range(family.size)]
-    for point in points:
-        samples, _failure = solve_point(family, point,
-                                                  scenario.policy)
-        if samples is None:
-            n_hole += 1
-            continue
-        for i, s in enumerate(samples):
-            cert = fdoracle.certify_sample(s, relations[i], family, i)
+    for k in range(len(cloud.admissible)):
+        for i, s in enumerate(cloud.samples):
+            cert = fdoracle.certify_sample(s.lane(k), relations[i], family,
+                                           i)
             if cert.status == "ok":
                 n_ok += 1
                 max_dev = max(max_dev, cert.max_deviation)

@@ -474,29 +474,21 @@ def _pysource(e: Expr) -> str:
     raise ExprError(f"unknown node kind '{k}'")  # pragma: no cover
 
 
-def compile_expr(e: Expr, variables, backend: str = "math"):
-    """Compile to a fast callable(*args) in declared-variable order.
+def compile_expr(e: Expr, variables):
+    """Compile to a numpy callable(*args) in declared-variable order.
 
-    backend "math" gives fastest scalar evaluation (math-module functions,
-    raises on domain violations); backend "numpy" gives a broadcastable
-    vector function (nan on domain violations).
+    Arguments broadcast against each other; domain violations give nan or
+    inf instead of raising.  An expression free of some variables returns
+    the shape of the ones it uses, and a constant returns a Python float,
+    so callers broadcast results to their lane shape.  Pass float64
+    arrays, not bare Python floats: `1.0/p` at p = 0.0 would raise.
     """
     import numpy as np
 
-    names = list(variables)
-    src = f"lambda {', '.join(names)}: {_pysource(e)}"
-    if backend == "math":
-        env = dict(_MATH_FUNCS)
-    elif backend == "numpy":
-        env = {name: getattr(np, name) for name in FUNCTIONS}
-    else:
-        raise ValueError(f"unknown backend '{backend}'")
+    src = f"lambda {', '.join(variables)}: {_pysource(e)}"
+    env = {name: getattr(np, name) for name in FUNCTIONS}
     # env goes in globals: the lambda body resolves names there at call time
-    fn = eval(src, {"__builtins__": {}, **env})  # noqa: S307 - closed namespace
-    if not names:
-        base = fn
-        fn = lambda *_args: base()
-    return fn
+    return eval(src, {"__builtins__": {}, **env})  # noqa: S307 - closed namespace
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +545,14 @@ class SmoothFn:
             self._partials[orders] = e
         return e
 
-    def compiled(self, orders=None, backend: str = "math"):
+    def compiled(self, orders=None):
         if orders is None:
             orders = (0,) * self.arity
         orders = tuple(int(o) for o in orders)
-        key = (orders, backend)
-        if key not in self._compiled:
-            self._compiled[key] = compile_expr(self.partial(*orders),
-                                               self.variables, backend)
-        return self._compiled[key]
+        if orders not in self._compiled:
+            self._compiled[orders] = compile_expr(self.partial(*orders),
+                                                  self.variables)
+        return self._compiled[orders]
 
     def __call__(self, *args) -> float:
         bindings = dict(zip(self.variables, args))

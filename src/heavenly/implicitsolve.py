@@ -4,6 +4,11 @@ A relation is Phi(p; x, y, z, t) = 0 with p-derivative D.  Roots may be
 multivalued (shocks); every sign change on a scan grid is refined by
 safeguarded Newton with bisection fallback.  Tangential double roots are
 out of contract and only surfaced through the |D| < eps degeneracy flag.
+
+The engine works on whole clouds: a point set is an (N, 4) array of
+(x, y, z, t) rows, the scan runs over fixed-size blocks of rows, and Newton
+runs over every bracket of every point at once.  A single point is a
+one-row cloud of the same code.
 """
 
 from __future__ import annotations
@@ -15,8 +20,12 @@ import numpy as np
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-12
-EPS_DEGENERATE = 1e-8
+EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
+FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
+# Scan elements per block: a block is SCAN_BUDGET // resolution cloud rows.
+# A constant, so results never depend on the cloud size.
+SCAN_BUDGET = 65536
 
 
 class SolveError(RuntimeError):
@@ -25,10 +34,12 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ImplicitRelation:
-    """Bundle of Phi and D = dPhi/dp.
+    """Bundle of Phi and D = dPhi/dp as numpy callables f(p, x, y, z, t).
 
-    phi/dphi are fast scalar callables phi(p, x, y, z, t); phi_vec
-    broadcasts over numpy arrays of p (used by the scan stage).
+    All arguments broadcast.  phi and dphi are evaluated on Newton lanes
+    (one value per bracket); phi_vec on scan blocks (grid row against a
+    column of points).  A result may come back as a Python float when the
+    expression is constant, so callers broadcast.
     """
 
     phi: callable
@@ -49,7 +60,6 @@ class BranchPolicy:
     resolution: int = 1024
     selection: object = "lowest"
     seed_root: float = 0.0
-    continuation: bool = True
 
     def __post_init__(self):
         if not self.p_lo < self.p_hi:
@@ -67,7 +77,6 @@ class RootReport:
     residual: float
     deriv: float
     iterations: int
-    bracket: tuple = (0.0, 0.0)
     degenerate: bool = False
     converged: bool = True
     hole: bool = False
@@ -75,10 +84,84 @@ class RootReport:
     point: tuple = ()
 
 
-def _hole_report(point) -> RootReport:
-    return RootReport(root=float("nan"), residual=float("nan"),
-                      deriv=float("nan"), iterations=0, hole=True,
-                      point=tuple(point))
+@dataclass(frozen=True)
+class RootTable:
+    """Roots of a cloud as arrays, one entry per root, sorted by (owner, root).
+
+    owner is the row of the cloud the root belongs to.  len() is the number
+    of roots and items are RootReport values, so a table reads like the
+    root list of one point.
+    """
+
+    owner: np.ndarray
+    root: np.ndarray
+    residual: np.ndarray
+    deriv: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    points: np.ndarray      # the (N, 4) cloud
+
+    def __len__(self) -> int:
+        return len(self.root)
+
+    def __getitem__(self, k) -> RootReport:
+        d = float(self.deriv[k])
+        return RootReport(root=float(self.root[k]),
+                          residual=float(self.residual[k]), deriv=d,
+                          iterations=int(self.iterations[k]),
+                          degenerate=bool(abs(d) < EPS_DEGENERATE),
+                          converged=bool(self.converged[k]),
+                          point=tuple(self.points[self.owner[k]].tolist()))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def take(self, idx) -> "RootTable":
+        """The entries at idx, in that order."""
+        return replace(self, **{name: getattr(self, name)[idx] for name in
+                                ("owner", "root", "residual", "deriv",
+                                 "iterations", "converged")})
+
+    def select(self, policy: "BranchPolicy") -> np.ndarray:
+        """Entry chosen by the policy for each cloud row, -1 where none."""
+        counts = np.bincount(self.owner, minlength=len(self.points))
+        first = np.cumsum(counts) - counts
+        return _pick(self.root, first, counts, policy.selection,
+                     policy.seed_root)
+
+
+def as_cloud(points) -> np.ndarray:
+    """An (N, 4) float array from one point or a sequence of points."""
+    return np.asarray(points, dtype=float).reshape(-1, 4)
+
+
+def cloud_lanes(point, proot):
+    """Coordinate columns (4, N) and root lanes (N,) of a point or cloud."""
+    return as_cloud(point).T, np.asarray(proot, dtype=float).reshape(-1)
+
+
+def lanes(value, n: int) -> np.ndarray:
+    """A compiled result broadcast to n lanes (constants are floats)."""
+    if type(value) is np.ndarray and value.shape == (n,) \
+            and value.dtype == np.float64:
+        return value
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+
+
+def _pick(root, first, counts, selection, target) -> np.ndarray:
+    """Per group of consecutive ascending roots, the index the rule selects."""
+    has = counts > 0
+    if not len(root):
+        return np.full(len(counts), -1)
+    if selection == "lowest":
+        return np.where(has, first, -1)
+    if selection == "nearest":
+        group = np.repeat(np.arange(len(counts)), counts)
+        # lexsort is stable: ties keep the lowest root, as min() would
+        order = np.lexsort((np.abs(root - target), group))
+        return np.where(has, order[np.minimum(first, len(root) - 1)], -1)
+    k = int(selection)
+    return np.where((0 <= k) & (k < counts), first + k, -1)
 
 
 def shock_relation(sdef, shared) -> ImplicitRelation:
@@ -87,8 +170,6 @@ def shock_relation(sdef, shared) -> ImplicitRelation:
     F2 = sdef.F.compiled((2,))
     G0 = sdef.G.compiled((0,))
     G1 = sdef.G.compiled((1,))
-    F1v = sdef.F.compiled((1,), "numpy")
-    G0v = sdef.G.compiled((0,), "numpy")
     al = shared.alpha.compiled((0,))
     be = shared.beta.compiled((0,))
     de = shared.delta.compiled((0,))
@@ -99,10 +180,7 @@ def shock_relation(sdef, shared) -> ImplicitRelation:
     def dphi(p, x, y, z, t):
         return (al(t) + be(y) + de(z)) * F2(p) + G1(p)
 
-    def phi_vec(p, x, y, z, t):
-        return x + (al(t) + be(y) + de(z)) * F1v(p) + G0v(p)
-
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi_vec)
+    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
 
 
 def general_relation(gdef) -> ImplicitRelation:
@@ -113,9 +191,6 @@ def general_relation(gdef) -> ImplicitRelation:
     R11 = gdef.R.compiled((2, 0))
     T0 = gdef.T.compiled((0, 0))
     T1 = gdef.T.compiled((1, 0))
-    Q1v = gdef.Q.compiled((1, 0), "numpy")
-    R1v = gdef.R.compiled((1, 0), "numpy")
-    T0v = gdef.T.compiled((0, 0), "numpy")
 
     def phi(p, x, y, z, t):
         return x + Q1(p, y) + R1(p, z) + T0(p, t)
@@ -123,109 +198,133 @@ def general_relation(gdef) -> ImplicitRelation:
     def dphi(p, x, y, z, t):
         return Q11(p, y) + R11(p, z) + T1(p, t)
 
-    def phi_vec(p, x, y, z, t):
-        return x + Q1v(p, y) + R1v(p, z) + T0v(p, t)
-
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi_vec)
+    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
 
 
-def _refine(rel: ImplicitRelation, point, lo, hi, flo, fhi) -> RootReport:
-    """Safeguarded Newton inside a sign-change bracket [lo, hi]."""
-    x = point[0]
-    tol = TOL_ABS + TOL_REL * abs(x)
-    bracket = (lo, hi)
-    p = 0.5 * (lo + hi)
-    iterations = 0
-    converged = False
-    while iterations < MAX_NEWTON_ITER:
-        iterations += 1
-        try:
-            f = rel.phi(p, *point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            f = float("nan")
-        if np.isfinite(f):
-            if abs(f) <= tol:
-                converged = True
-                break
-            # maintain the bracket
-            if f * flo < 0.0:
-                hi, fhi = p, f
-            else:
-                lo, flo = p, f
-        else:
-            # bad evaluation inside the bracket: bisect blindly
-            hi = p
-        try:
-            d = rel.dphi(p, *point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            d = 0.0
-        step_ok = False
-        if np.isfinite(f) and np.isfinite(d) and d != 0.0:
-            cand = p - f / d
-            if lo < cand < hi:
-                p = cand
-                step_ok = True
-        if not step_ok:
-            p = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * (1.0 + abs(p)):
-            try:
-                f = rel.phi(p, *point)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                f = float("nan")
-            converged = bool(np.isfinite(f) and abs(f) <= tol)
-            break
-    try:
-        f = rel.phi(p, *point)
-        d = rel.dphi(p, *point)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        f, d = float("nan"), float("nan")
-    return RootReport(root=float(p), residual=abs(float(f)), deriv=float(d),
-                      iterations=iterations, bracket=bracket,
-                      degenerate=bool(abs(d) < EPS_DEGENERATE),
-                      converged=converged, point=tuple(point))
-
-
-def enumerate_roots(rel: ImplicitRelation, point,
-                    policy: BranchPolicy = BranchPolicy()):
-    """All sign-change roots of Phi on the policy scan interval, ascending."""
+def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
+    """Sign-change brackets and exact grid zeros of Phi, block by block."""
     grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
+    row = grid[None, :]
+    rows = max(1, SCAN_BUDGET // policy.resolution)
+    found = {"b_owner": [], "b_col": [], "b_flo": [], "z_owner": [],
+             "z_col": []}
+    width = len(grid)
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows]
+        vals = np.broadcast_to(np.asarray(
+            rel.phi_vec(row, *(block[:, k:k + 1] for k in range(4))),
+            dtype=float), (len(block), width))
+        finite = np.isfinite(vals)
+        change = vals[:, :-1] * vals[:, 1:] < 0.0
+        if not finite.all():
+            change &= finite[:, :-1] & finite[:, 1:]
+        r, c = np.divmod(np.flatnonzero(change), width - 1)
+        found["b_owner"].append(r + start)
+        found["b_col"].append(c)
+        found["b_flo"].append(vals[r, c])
+        zero = vals == 0.0
+        if zero.any():
+            r, c = np.divmod(np.flatnonzero(zero), width)
+            found["z_owner"].append(r + start)
+            found["z_col"].append(c)
+    cat = {k: np.concatenate(v) if v else np.zeros(0, dtype=int)
+           for k, v in found.items()}
+    return grid, cat
+
+
+def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
+    """Safeguarded Newton on every bracket at once; converged lanes freeze.
+
+    A lane whose Phi is not finite at an iterate ends unconverged: the
+    bracket's sign information is lost there, so the root is a hole.
+    """
+    n = len(owner)
+    cols = pts[owner].T
+    tol = TOL_ABS + TOL_REL * np.abs(cols[0])
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    p = 0.5 * (lo + hi)
+    iterations = np.zeros(n, dtype=np.int32)
+    converged = np.zeros(n, dtype=bool)
+    act = np.arange(n)
+    while act.size:
+        iterations[act] += 1
+        pa = p[act]
+        ca = cols[:, act]
+        f = lanes(rel.phi(pa, *ca), act.size)
+        finite = np.isfinite(f)
+        hit = finite & (np.abs(f) <= tol[act])
+        converged[act[hit]] = True
+        keep = finite & ~hit
+        act, pa, ca, f = act[keep], pa[keep], ca[:, keep], f[keep]
+        # maintain the bracket
+        right = f * flo[act] < 0.0
+        a_lo = np.where(right, lo[act], pa)
+        a_hi = np.where(right, pa, hi[act])
+        flo[act] = np.where(right, flo[act], f)
+        d = lanes(rel.dphi(pa, *ca), act.size)
+        cand = pa - f / d
+        step_ok = np.isfinite(d) & (d != 0.0) & (a_lo < cand) & (cand < a_hi)
+        pa = np.where(step_ok, cand, 0.5 * (a_lo + a_hi))
+        lo[act], hi[act], p[act] = a_lo, a_hi, pa
+        collapsed = a_hi - a_lo <= 1e-16 * (1.0 + np.abs(pa))
+        if collapsed.any():
+            done = act[collapsed]
+            fc = lanes(rel.phi(pa[collapsed], *ca[:, collapsed]), done.size)
+            converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[done])
+        act = act[~collapsed & (iterations[act] < MAX_NEWTON_ITER)]
+    f = lanes(rel.phi(p, *cols), n)
+    d = lanes(rel.dphi(p, *cols), n)
+    return p, np.abs(f), d, iterations, converged
+
+
+def enumerate_roots(rel: ImplicitRelation, points,
+                    policy: BranchPolicy = BranchPolicy()):
+    """All sign-change roots of Phi on the policy scan interval.
+
+    For one point: a list of RootReport, ascending.  For an (N, 4) cloud:
+    a RootTable sorted by (point, root).
+    """
+    single = np.ndim(points) == 1
+    pts = as_cloud(points)
     with np.errstate(all="ignore"):
-        vals = np.asarray(rel.phi_vec(grid, *point), dtype=float)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).astype(float)
-    reports = []
-    finite = np.isfinite(vals)
-    exact = finite & (vals == 0.0)
-    sign_change = finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0.0)
-    for i in np.flatnonzero(exact):
-        p = float(grid[i])
-        d = rel.dphi(p, *point)
-        reports.append(RootReport(root=p, residual=0.0, deriv=float(d),
-                                  iterations=0, bracket=(p, p),
-                                  degenerate=bool(abs(d) < EPS_DEGENERATE),
-                                  point=tuple(point)))
-    for i in np.flatnonzero(sign_change):
-        reports.append(_refine(rel, tuple(point), float(grid[i]),
-                               float(grid[i + 1]), float(vals[i]),
-                               float(vals[i + 1])))
-    reports.sort(key=lambda r: r.root)
-    return reports
+        grid, found = _scan(rel, pts, policy)
+        b_col, z_col = found["b_col"], found["z_col"]
+        owner = np.concatenate((found["b_owner"], found["z_owner"]))
+        lo = np.concatenate((grid[b_col], grid[z_col]))
+        hi = np.concatenate((grid[b_col + 1], grid[z_col]))
+        nb, nz = len(b_col), len(z_col)
+        root = np.empty(nb + nz)
+        residual = np.zeros(nb + nz)
+        deriv = np.empty(nb + nz)
+        iterations = np.zeros(nb + nz, dtype=np.int32)
+        converged = np.ones(nb + nz, dtype=bool)
+        if nb:
+            (root[:nb], residual[:nb], deriv[:nb], iterations[:nb],
+             converged[:nb]) = _newton(rel, pts, owner[:nb], lo[:nb],
+                                       hi[:nb], found["b_flo"])
+        if nz:
+            root[nb:] = lo[nb:]
+            deriv[nb:] = lanes(rel.dphi(lo[nb:], *pts[owner[nb:]].T), nz)
+    # brackets sit between grid nodes, exact zeros on them
+    position = np.concatenate((b_col + 0.5, z_col))
+    order = np.lexsort((position, owner))
+    table = RootTable(owner=owner.astype(np.int32), root=root,
+                      residual=residual, deriv=deriv, iterations=iterations,
+                      converged=converged, points=pts).take(order)
+    return list(table) if single else table
 
 
 def select_root(reports, policy: BranchPolicy, prev: float | None = None):
     """Apply the branch selection rule; prev overrides for continuation."""
     if not reports:
         return None
+    roots = np.array([r.root for r in reports])
+    selection, target = policy.selection, policy.seed_root
     if prev is not None:
-        return min(reports, key=lambda r: abs(r.root - prev))
-    if policy.selection == "lowest":
-        return reports[0]
-    if policy.selection == "nearest":
-        return min(reports, key=lambda r: abs(r.root - policy.seed_root))
-    k = int(policy.selection)
-    if not 0 <= k < len(reports):
-        return None
-    return reports[k]
+        selection, target = "nearest", prev
+    k = int(_pick(roots, np.array([0]), np.array([len(roots)]), selection,
+                  target)[0])
+    return reports[k] if k >= 0 else None
 
 
 def continue_branch(rel: ImplicitRelation, grid,
@@ -242,7 +341,9 @@ def continue_branch(rel: ImplicitRelation, grid,
     for point in grid:
         reports = enumerate_roots(rel, point, policy)
         if not reports:
-            out.append(_hole_report(point))
+            out.append(RootReport(root=float("nan"), residual=float("nan"),
+                                  deriv=float("nan"), iterations=0,
+                                  hole=True, point=tuple(point)))
             prev = None
             continue
         rep = select_root(reports, policy, prev=prev)
@@ -256,33 +357,47 @@ def continue_branch(rel: ImplicitRelation, grid,
     return out
 
 
-def solve_on_sheet(rel: ImplicitRelation, point, seed: float,
-                   max_iter: int = 60) -> float:
+_SHEET_FAILURES = ("", "evaluation failure", "flat relation",
+                   "on-sheet Newton did not converge")
+
+
+def solve_on_sheet(rel: ImplicitRelation, points, seed,
+                   max_iter: int = 60):
     """Newton from a seed root, staying on the seed's branch.
 
     Used by the finite-difference oracle so stencil evaluations do not hop
-    to a different branch.  Raises SolveError on non-convergence.
+    to a different branch.  For one point returns the root and raises
+    SolveError on failure; for an (N, 4) cloud (seed scalar or one per
+    row) returns an array with nan where a lane failed.
     """
-    x = point[0]
-    tol = TOL_ABS + TOL_REL * abs(x)
-    p = float(seed)
-    for _ in range(max_iter):
-        try:
-            f = rel.phi(p, *point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise SolveError(f"evaluation failure at p={p}") from None
-        if abs(f) <= tol:
-            return p
-        try:
-            d = rel.dphi(p, *point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise SolveError(f"derivative failure at p={p}") from None
-        if not np.isfinite(d) or d == 0.0:
-            raise SolveError(f"flat relation at p={p}")
-        step = f / d
-        # damp huge steps: the seed is assumed close
-        limit = 0.5 * (1.0 + abs(p))
-        if abs(step) > limit:
-            step = limit if step > 0 else -limit
-        p -= step
-    raise SolveError("on-sheet Newton did not converge")
+    single = np.ndim(points) == 1
+    pts = as_cloud(points)
+    n = len(pts)
+    cols = pts.T
+    tol = TOL_ABS + TOL_REL * np.abs(cols[0])
+    p = lanes(seed, n).copy()
+    why = np.zeros(n, dtype=int)     # index into _SHEET_FAILURES
+    live = np.ones(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            f = lanes(rel.phi(p, *cols), n)
+            finite = np.isfinite(f)
+            why[live & ~finite] = 1
+            live &= finite & (np.abs(f) > tol)
+            if not live.any():
+                break
+            d = lanes(rel.dphi(p, *cols), n)
+            flat = live & (~np.isfinite(d) | (d == 0.0))
+            why[flat] = 2
+            live &= ~flat
+            # damp huge steps: the seed is assumed close; converged lanes
+            # keep their root
+            limit = 0.5 * (1.0 + np.abs(p))
+            step = np.maximum(np.minimum(f / d, limit), -limit)
+            p = np.where(live, p - step, p)
+    why[live] = 3
+    if single:
+        if why[0]:
+            raise SolveError(f"{_SHEET_FAILURES[why[0]]} at p={p[0]}")
+        return float(p[0])
+    return np.where(why == 0, p, np.nan)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exprdsl
 from .exprdsl import Expr, ExprError, SmoothFn
+from .implicitsolve import cloud_lanes, lanes
 
 
 class FamilyError(ValueError):
@@ -100,34 +103,33 @@ _GENERAL_PRECOMPUTE = {
     "T": [(0, 0), (1, 0), (2, 0), (0, 1)],
 }
 
-_PROBE_POINTS = (-0.73, 0.11, 0.97)
+_PROBE_POINTS = np.array([-0.73, 0.11, 0.97])
 
 
 def _precompute(obj, plan):
     for attr, orders_list in plan.items():
         fn: SmoothFn = getattr(obj, attr)
         for orders in orders_list:
-            for backend in ("math", "numpy"):
-                compiled = fn.compiled(orders, backend)
-                if backend == "math":
-                    _probe(compiled, fn.arity, attr, orders)
+            _probe(fn.compiled(orders), fn.arity, attr, orders)
 
 
 def _probe(compiled, arity, attr, orders):
     # Differentiation/evaluation failures should surface at build time,
     # not mid-scan; a few probe points catch e.g. log(p) derivatives that
     # blow up at desk-scale arguments.
-    ok = 0
-    for v in _PROBE_POINTS:
-        try:
-            compiled(*([v] * arity))
-            ok += 1
-        except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-    if ok == 0:
+    with np.errstate(all="ignore"):
+        vals = compiled(*([_PROBE_POINTS] * arity))
+    if not np.isfinite(vals).any():
         raise FamilyError(
             f"differentiation domain failure: partial {orders} of "
             f"'{attr}' not evaluable at any probe point")
+
+
+def _field_values(point, p, q, r):
+    q, r = lanes(q, len(p)), lanes(r, len(p))
+    if np.ndim(point) == 1:
+        return float(p[0]), float(q[0]), float(r[0])
+    return p, q, r
 
 
 class ShockFamily:
@@ -162,14 +164,17 @@ class ShockFamily:
         return shock_derivatives(self.defs[i], self.shared, point, proot,
                                  source=i, report=report)
 
-    def values(self, i: int, point, proot: float):
-        """(p, q, r) values only, no implicit-function-theorem division."""
-        x, y, z, t = point
+    def values(self, i: int, point, proot):
+        """(p, q, r) values only, no implicit-function-theorem division.
+
+        point is one point or an (N, 4) cloud with one root per row.
+        """
+        (x, y, z, t), p = cloud_lanes(point, proot)
         d = self.defs[i]
-        F = d.F.compiled((0,))(proot)
+        F = d.F.compiled((0,))(p)
         q = d.m.compiled((0,))(y) + self.shared.beta.compiled((1,))(y) * F
         r = d.n.compiled((0,))(z) + self.shared.delta.compiled((1,))(z) * F
-        return proot, q, r
+        return _field_values(point, p, q, r)
 
 
 class GeneralFamily:
@@ -203,12 +208,12 @@ class GeneralFamily:
         return general_derivatives(self.defs[i], point, proot,
                                    source=i, report=report)
 
-    def values(self, i: int, point, proot: float):
-        x, y, z, t = point
+    def values(self, i: int, point, proot):
+        (x, y, z, t), p = cloud_lanes(point, proot)
         d = self.defs[i]
-        q = d.Q.compiled((0, 1))(proot, y)
-        r = d.R.compiled((0, 1))(proot, z)
-        return proot, q, r
+        q = d.Q.compiled((0, 1))(p, y)
+        r = d.R.compiled((0, 1))(p, z)
+        return _field_values(point, p, q, r)
 
 
 def build_shock_family(defs, shared: SharedProfile) -> ShockFamily:

@@ -2,28 +2,31 @@
 
 The superposition theorem: seed solutions of the field-form equation whose
 pairwise cross terms balance combine linearly into new solutions.  The
-verifier evaluates, per sampled point, each seed's residuals, the n-term
-balance, the superposed field's residuals and the quadratic-form expansion
+verifier evaluates, over the admissible points of a cloud, each seed's
+residuals, the n-term balance, the superposed field's residuals and the
+quadratic-form expansion
 residual(superposed) = sum_i a_i^2 residual_i + sum_{i<j} a_i a_j cross_ij.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .calculus import (
+    FIELD_NAMES,
     NORM_GUARD,
-    DegenerateSampleError,
     FieldSample,
     compat_residuals,
     ghe_residual,
     n_term_balance,
     pairwise_balance,
 )
-from .implicitsolve import BranchPolicy, enumerate_roots, select_root
+from .implicitsolve import FOLD_TOL, BranchPolicy, as_cloud, enumerate_roots
 
-FOLD_TOL = 1e-3
+OK, HOLE, FOLD = 0, 1, 2
+STATUS = ("ok", "hole", "fold")
 
 
 class SuperposeError(ValueError):
@@ -42,35 +45,29 @@ class SuperpositionSpec:
 
 
 def superpose(samples, coeffs) -> FieldSample:
-    """Coefficient-weighted sum of field samples taken at one point."""
+    """Coefficient-weighted sum of field samples taken at the same points."""
     if len(samples) != len(coeffs):
         raise SuperposeError("samples and coefficients differ in length")
     SuperpositionSpec(tuple(coeffs))
     ref = samples[0].point
     for s in samples[1:]:
-        if any(abs(a - b) > 1e-14 for a, b in zip(s.point, ref)):
+        if s.point is not ref and np.any(
+                np.abs(np.subtract(s.point, ref)) > 1e-14):
             raise SuperposeError(f"point mismatch: {s.point} vs {ref}")
-    fields = ("p", "q", "r") + FieldSample.PARTIAL_NAMES
-    acc = {name: 0.0 for name in fields}
+    acc = {name: 0.0 for name in FIELD_NAMES}
     for s, c in zip(samples, coeffs):
-        for name in fields:
-            acc[name] += c * getattr(s, name)
+        for name in FIELD_NAMES:
+            acc[name] = acc[name] + c * getattr(s, name)
     return FieldSample(point=ref, source="superposed", **acc)
 
 
-@dataclass
-class _Stat:
-    values: list = field(default_factory=list)
-
-    def add(self, v: float):
-        self.values.append(v)
-
-    def summary(self) -> dict:
-        if not self.values:
-            return {"count": 0, "max": None, "median": None}
-        return {"count": len(self.values),
-                "max": max(self.values),
-                "median": statistics.median(self.values)}
+def summarize(values) -> dict:
+    """count, max and median over a list of scalars or lane arrays."""
+    v = np.concatenate([np.ravel(a) for a in values]) if values else ()
+    if not len(v):
+        return {"count": 0, "max": None, "median": None}
+    return {"count": int(v.size), "max": float(v.max()),
+            "median": float(np.median(v))}
 
 
 @dataclass
@@ -95,93 +92,127 @@ class TheoremReport:
         }
 
 
-def solve_point(family, point, policy: BranchPolicy):
-    """Samples for all seeds at one point, or ("hole"|"fold", index)."""
-    samples = []
+@dataclass(frozen=True)
+class CloudSolution:
+    """Solve status of every point of a cloud, and the seed samples at the
+    admissible ones.
+
+    status holds OK, HOLE or FOLD per point and failed_seed the first seed
+    that failed there (-1 where admissible).  samples has one FieldSample
+    per seed whose lanes are the admissible points, in cloud order.
+    """
+
+    points: np.ndarray
+    status: np.ndarray
+    failed_seed: np.ndarray
+    admissible: np.ndarray
+    samples: list
+
+    def count(self, status: int) -> int:
+        return int(np.count_nonzero(self.status == status))
+
+
+def _rows(pts, idx):
+    """pts[idx] for ascending row indices, without a copy when idx is all."""
+    return pts if len(idx) == len(pts) else pts[idx]
+
+
+def solve_point(family, points, policy: BranchPolicy):
+    """Solve every seed at one point or over an (N, 4) cloud.
+
+    One point: (samples, None), or (None, ("hole"|"fold", seed index)).
+    A cloud: (CloudSolution, None) when every point is admissible, else
+    (CloudSolution, (kind, seed index)) of its first failed point.
+    """
+    pts = as_cloud(points)
+    n = len(pts)
+    status = np.full(n, OK, dtype=np.int8)
+    failed_seed = np.full(n, -1)
+    alive = np.arange(n)
+    chosen = []
     for i in range(family.size):
-        roots = enumerate_roots(family.relation(i), point, policy)
-        rep = select_root(roots, policy)
-        if rep is None or not rep.converged:
-            return None, ("hole", i)
-        if abs(rep.deriv) < FOLD_TOL:
-            return None, ("fold", i)
-        try:
-            samples.append(family.sample(i, point, rep.root, report=rep))
-        except DegenerateSampleError:
-            return None, ("fold", i)
-    return samples, None
+        table = enumerate_roots(family.relation(i), _rows(pts, alive), policy)
+        pick = table.select(policy)
+        hole = pick < 0
+        pick = np.where(hole, 0, pick)
+        if len(table):
+            hole |= ~table.converged[pick]
+            fold = ~hole & (np.abs(table.deriv[pick]) < FOLD_TOL)
+        else:
+            fold = np.zeros_like(hole)
+        status[alive[hole]] = HOLE
+        status[alive[fold]] = FOLD
+        failed_seed[alive[hole | fold]] = i
+        good = ~(hole | fold)
+        alive = alive[good]
+        chosen = [t.take(good) for t in chosen]
+        chosen.append(table.take(pick[good]))
+    cloud_pts = _rows(pts, alive)
+    samples = [family.sample(i, cloud_pts, table.root, report=table)
+               for i, table in enumerate(chosen)]
+    cloud = CloudSolution(points=pts, status=status, failed_seed=failed_seed,
+                          admissible=alive, samples=samples)
+    bad = np.flatnonzero(status != OK)
+    failure = (STATUS[status[bad[0]]], int(failed_seed[bad[0]])) \
+        if len(bad) else None
+    if np.ndim(points) == 2:
+        return cloud, failure
+    if failure:
+        return None, failure
+    return [s.lane(0) for s in samples], None
 
 
-def quadratic_identity_residual(super_rep, seed_reps, cross_reps,
-                                coeffs) -> float:
+def quadratic_identity_residual(super_rep, seed_reps, cross_reps, coeffs):
     """Normalized defect of the bilinear expansion of the superposed residual."""
     expected = 0.0
     scale = super_rep.scale
     for c, rep in zip(coeffs, seed_reps):
-        expected += c * c * rep.value
-        scale = max(scale, c * c * rep.scale)
+        expected = expected + c * c * rep.value
+        scale = np.maximum(scale, c * c * rep.scale)
     for (i, j), rep in cross_reps.items():
-        expected += coeffs[i] * coeffs[j] * rep.value
-        scale = max(scale, abs(coeffs[i] * coeffs[j]) * rep.scale)
+        expected = expected + coeffs[i] * coeffs[j] * rep.value
+        scale = np.maximum(scale, abs(coeffs[i] * coeffs[j]) * rep.scale)
     return abs(super_rep.value - expected) / (scale + NORM_GUARD)
 
 
 def verify_theorem(family, coeffs, points,
                    policy: BranchPolicy = BranchPolicy(),
                    threshold: float = 1e-9) -> TheoremReport:
-    """Run the full per-point verification over a point cloud."""
+    """Run the full verification over a point cloud."""
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != family.size:
         raise SuperposeError("one coefficient per seed required")
     SuperpositionSpec(tuple(coeffs))
 
-    stats = {name: _Stat() for name in
-             ("seed_ghe", "seed_compat", "superposed_ghe",
-              "superposed_compat", "n_term_balance", "quadratic_identity")}
-    n_holes = n_folds = n_admissible = n_pass = 0
-
-    for point in points:
-        samples, failure = solve_point(family, point, policy)
-        if samples is None:
-            if failure[0] == "hole":
-                n_holes += 1
-            else:
-                n_folds += 1
-            continue
-        n_admissible += 1
-
-        seed_reps = []
-        for s in samples:
-            rep = ghe_residual(s, family.shared)
-            seed_reps.append(rep)
-            stats["seed_ghe"].add(rep.normalized)
-            for c in compat_residuals(s):
-                stats["seed_compat"].add(c.normalized)
-
-        bal = n_term_balance(samples, family.shared)
-        stats["n_term_balance"].add(bal.normalized)
-
-        sup = superpose(samples, coeffs)
-        sup_rep = ghe_residual(sup, family.shared)
-        stats["superposed_ghe"].add(sup_rep.normalized)
-        if sup_rep.normalized <= threshold:
-            n_pass += 1
-        for c in compat_residuals(sup):
-            stats["superposed_compat"].add(c.normalized)
-
-        cross = {}
-        for i in range(len(samples)):
-            for j in range(i + 1, len(samples)):
-                cross[(i, j)] = pairwise_balance(samples[i], samples[j],
-                                                 family.shared)
-        stats["quadratic_identity"].add(
-            quadratic_identity_residual(sup_rep, seed_reps, cross, coeffs))
-
+    cloud, _failure = solve_point(family, as_cloud(points), policy)
+    samples, shared = cloud.samples, family.shared
+    seed_reps = [ghe_residual(s, shared) for s in samples]
+    seed_compat = [c.normalized for s in samples
+                   for c in compat_residuals(s)]
+    bal = n_term_balance(samples, shared)
+    sup = superpose(samples, coeffs)
+    sup_rep = ghe_residual(sup, shared)
+    sup_compat = [c.normalized for c in compat_residuals(sup)]
+    del sup
+    cross = {(i, j): pairwise_balance(samples[i], samples[j], shared)
+             for i in range(len(samples))
+             for j in range(i + 1, len(samples))}
+    checks = {
+        "seed_ghe": summarize([r.normalized for r in seed_reps]),
+        "seed_compat": summarize(seed_compat),
+        "superposed_ghe": summarize([sup_rep.normalized]),
+        "superposed_compat": summarize(sup_compat),
+        "n_term_balance": summarize([bal.normalized]),
+        "quadratic_identity": summarize([quadratic_identity_residual(
+            sup_rep, seed_reps, cross, coeffs)]),
+    }
+    n_admissible = len(cloud.admissible)
+    n_pass = int(np.count_nonzero(sup_rep.normalized <= threshold))
     return TheoremReport(
-        n_points=len(points),
+        n_points=len(cloud.points),
         n_admissible=n_admissible,
-        n_holes=n_holes,
-        n_folds=n_folds,
-        checks={name: st.summary() for name, st in stats.items()},
+        n_holes=cloud.count(HOLE),
+        n_folds=cloud.count(FOLD),
+        checks=checks,
         pass_fraction=(n_pass / n_admissible) if n_admissible else 0.0,
         threshold=threshold)

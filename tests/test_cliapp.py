@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from heavenly.cliapp import (
+    MAX_POINTS,
+    MAX_RESOLUTION,
     ScenarioError,
     csv_header,
     load_scenario,
@@ -159,3 +161,57 @@ class TestCommands:
                          "--points", "10", "--report", name]) == 0
             outs.append(Path(name).read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestInputBounds:
+    """Sizes the array engine allocates by are bounded before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        class Refuse:
+            def Halton(self, *args, **kwargs):
+                raise AssertionError("sampled a cloud past its bound")
+        monkeypatch.setattr("heavenly.cliapp.qmc", Refuse())
+
+    def test_resolution_bound(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, dict(BASE, branch={
+            "resolution": MAX_RESOLUTION + 1}))
+        assert main(["verify", path]) == 2
+        assert "resolution" in capsys.readouterr().err
+
+    def test_scenario_count_bound(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        sampling = dict(BASE["sampling"], count=MAX_POINTS + 1)
+        path = write_scenario(tmp_path, dict(BASE, sampling=sampling))
+        assert main(["verify", path]) == 2
+        assert "count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sample", "balance",
+                                         "fdcheck"])
+    def test_points_option_bound(self, command, tmp_path, monkeypatch,
+                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, BASE)
+        assert main([command, path, "--points", str(MAX_POINTS + 1)]) == 2
+        assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):
+    # x + p^3 - p on [-1, 0]: just past x = -2/(3 sqrt 3) the lowest root
+    # sits 8e-5 from the fold at p = -1/sqrt(3), so |D| ~ 3e-4 < 1e-3
+    monkeypatch.chdir(tmp_path)
+    x_fold = -2.0 / (3.0 * 3.0 ** 0.5)
+    path = write_scenario(tmp_path, {
+        "family": "general",
+        "shared": {"alpha": "t", "beta": "y", "delta": "z"},
+        "seeds": [{"Q": "0", "R": "0", "T": "p^3 - p"}],
+        "coefficients": [1.0],
+        "sampling": {"points": [[x_fold + 1e-8, 1.0, 1.0, 1.0],
+                                [-0.2, 1.0, 1.0, 1.0]]},
+        "branch": {"p_lo": -1.0, "p_hi": 0.0, "resolution": 16384},
+    })
+    assert main(["fdcheck", path]) == 0
+    result = json.loads(Path("case.report.json").read_text())["result"]
+    assert (result["certified"], result["near_fold"], result["holes"]) == \
+        (1, 1, 0)

@@ -113,6 +113,53 @@ class TestEnumerateRoots:
                                                     abs=1e-12)
 
 
+class TestCloudBatch:
+    @pytest.mark.parametrize("policy", [
+        BranchPolicy(selection="lowest"),
+        BranchPolicy(selection="nearest", seed_root=0.9),
+        BranchPolicy(selection=1),
+        BranchPolicy(selection=2),
+    ], ids=["lowest", "nearest", "index1", "index2"])
+    def test_batch_equals_one_lane_calls(self, policy):
+        rel = cubic_relation()
+        cloud = [(x, 0.0, 0.0, 0.0) for x in np.linspace(-0.6, 0.6, 13)]
+        table = enumerate_roots(rel, np.array(cloud), policy)
+        picks = table.select(policy)
+        assert sorted(set(np.bincount(table.owner).tolist())) == [1, 3]
+        for k, point in enumerate(cloud):
+            reports = enumerate_roots(rel, point, policy)
+            assert [r.root for r in reports] == \
+                table.root[table.owner == k].tolist()
+            want = select_root(reports, policy)
+            if want is None:
+                assert picks[k] == -1
+                continue
+            got = table[picks[k]]
+            assert (got.root, got.converged, got.iterations, got.deriv) == \
+                (want.root, want.converged, want.iterations, want.deriv)
+
+    def test_nan_inside_bracket_ends_unconverged(self):
+        # Phi = p - 0.03 + x, undefined on |p| < 0.01.  At x = 0 the root
+        # 0.03 shares its scan cell with the undefined band and the first
+        # Newton iterate (the cell midpoint, 0) lands in it; at x = 0.5
+        # the root is far from the band.
+        def phi(p, x, y, z, t):
+            return np.where(np.abs(p) < 0.01, np.nan, p - 0.03 + x)
+
+        rel = ImplicitRelation(phi=phi, dphi=lambda p, *pt: 1.0,
+                               phi_vec=phi)
+        policy = BranchPolicy(p_lo=-1.0, p_hi=1.0, resolution=16)
+        table = enumerate_roots(rel, np.array([(0.0, 0, 0, 0),
+                                               (0.5, 0, 0, 0)]), policy)
+        assert len(table) == 2
+        stuck, clean = table[0], table[1]
+        assert not stuck.converged
+        assert stuck.iterations == 1
+        assert abs(stuck.root) < 0.01
+        assert clean.converged
+        assert clean.root == pytest.approx(-0.47, abs=1e-12)
+
+
 class TestSelectRoot:
     def setup_method(self):
         self.reports = enumerate_roots(cubic_relation(),
