@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import calculus, fdoracle
 from .superpose import (
@@ -32,7 +32,7 @@ from .superpose import (
     verify_theorem,
 )
 from .exprdsl import ExprError, SmoothFn
-from .implicitsolve import BranchPolicy, as_cloud
+from .implicitsolve import BranchPolicy
 from .registry import (
     FamilyError,
     GeneralSolutionDef,
@@ -45,6 +45,7 @@ from .registry import (
 REPORT_SCHEMA_VERSION = 1
 MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
 MAX_RESOLUTION = 65536      # scan grid bound: scan blocks scale with it
+HALTON_BASES = (2, 3, 5, 7)  # the first four primes, one per axis x, y, z, t
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,        # max normalized residual, expect=satisfy
@@ -70,7 +71,7 @@ class Scenario:
     box: dict | None            # axis -> (lo, hi)
     count: int
     sample_seed: int
-    explicit_points: list | None
+    explicit_points: np.ndarray | None   # (N, 4)
     policy: BranchPolicy
     tolerances: dict
     expect: str                 # "satisfy" | "violate"
@@ -81,9 +82,10 @@ class Scenario:
             return build_shock_family(self.seed_defs, self.shared)
         return build_general_family(self.seed_defs, self.shared)
 
-    def points(self, count=None, seed=None):
+    def points(self, count=None, seed=None) -> np.ndarray:
+        """The (N, 4) cloud: explicit points, or a Halton draw in the box."""
         if self.explicit_points is not None:
-            return [tuple(float(v) for v in pt) for pt in self.explicit_points]
+            return self.explicit_points.copy()
         count = int(count if count is not None else self.count)
         seed = int(seed if seed is not None else self.sample_seed)
         _check_count(count)
@@ -91,10 +93,40 @@ class Scenario:
         highs = [self.box[ax][1] for ax in "xyzt"]
         if any(lo >= hi for lo, hi in zip(lows, highs)):
             raise ScenarioError("empty sampling box")
-        sampler = qmc.Halton(d=4, scramble=True, seed=seed)
-        u = sampler.random(count)
-        pts = qmc.scale(u, lows, highs)
-        return [tuple(row) for row in pts.tolist()]
+        return scrambled_halton(count, seed, lows, highs)
+
+
+def scrambled_halton(count: int, seed: int, lows, highs) -> np.ndarray:
+    """`count` Owen-scrambled Halton points in the box [lows, highs).
+
+    Random-permutation scrambling (A. B. Owen, arXiv 1706.02808): digit j
+    of the index in base b goes through its own shuffled permutation of
+    range(b), for every digit down to 2**-54, leading zeros included.
+    The digits are accumulated in the order of scipy's
+    `qmc.scale(qmc.Halton(d=4, scramble=True, seed=seed).random(count),
+    lows, highs)`, which this reproduces bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.empty((count, len(HALTON_BASES)))
+    for col, base in enumerate(HALTON_BASES):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index, top = np.arange(count), count - 1
+        v = np.zeros(count)
+        scale = 1.0 / base      # `scale /= base` below: `*= 1/base` is 1 ulp off
+        for perm in perms:
+            if top:
+                index, digit = np.divmod(index, base)
+                v += (perm * scale)[digit]
+                top //= base
+            else:               # every index is down to its zero digits
+                v += perm[0] * scale
+            scale /= base
+        u[:, col] = v
+    lows = np.asarray(lows, dtype=float)
+    return u * (np.asarray(highs, dtype=float) - lows) + lows
 
 
 def _check_count(count: int):
@@ -103,6 +135,13 @@ def _check_count(count: int):
     if count > MAX_POINTS:
         raise ScenarioError(f"sampling count {count} exceeds the bound "
                             f"of {MAX_POINTS} points")
+
+
+def _check_seed(seed, where: str):
+    # bool is an int subclass; numpy's seeding rejects negative integers
+    if type(seed) is not int or seed < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer, "
+                            f"not {seed!r}")
 
 
 def _require_keys(obj: dict, allowed, required, where: str):
@@ -194,10 +233,15 @@ def load_scenario(path) -> Scenario:
     box = None
     explicit = None
     if "points" in sampling:
-        explicit = sampling["points"]
-        if not isinstance(explicit, list) or not explicit \
-                or any(len(pt) != 4 for pt in explicit):
-            raise ScenarioError("sampling.points must list [x,y,z,t] rows")
+        bad_rows = "sampling.points must list [x,y,z,t] rows of finite numbers"
+        try:
+            explicit = np.asarray(sampling["points"], dtype=float)
+        except (TypeError, ValueError):
+            raise ScenarioError(bad_rows) from None
+        # None converts to NaN
+        if explicit.ndim != 2 or explicit.shape[1] != 4 or not len(explicit) \
+                or not np.isfinite(explicit).all():
+            raise ScenarioError(bad_rows)
         _check_count(len(explicit))
     else:
         if "box" not in sampling:
@@ -235,11 +279,13 @@ def load_scenario(path) -> Scenario:
     count = int(sampling.get("count", 1000))
     if explicit is None:
         _check_count(count)
+    sample_seed = sampling.get("seed", 0)
+    _check_seed(sample_seed, "sampling.seed")
     return Scenario(name=raw.get("name", path.stem),
                     family_kind=kind, shared=shared, seed_defs=defs,
                     coefficients=coeffs, box=box,
                     count=count,
-                    sample_seed=int(sampling.get("seed", 0)),
+                    sample_seed=sample_seed,
                     explicit_points=explicit, policy=policy,
                     tolerances=tolerances, expect=expect,
                     description=raw.get("description", ""))
@@ -262,7 +308,7 @@ def _write_report(path, payload):
 
 def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
+    points = scenario.points(count=args.points, seed=args.seed)
     tol = dict(scenario.tolerances)
     if args.tol is not None:
         tol["residual"] = args.tol
@@ -321,7 +367,7 @@ def csv_header(n_seeds: int) -> list:
 
 def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
+    points = scenario.points(count=args.points, seed=args.seed)
     out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
     shared = family.shared
 
@@ -359,7 +405,7 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
 
 def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
-    points = as_cloud(scenario.points(count=args.points, seed=args.seed))
+    points = scenario.points(count=args.points, seed=args.seed)
     tol = dict(scenario.tolerances)
     if args.tol is not None:
         tol["residual"] = args.tol
@@ -417,7 +463,7 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
     count = args.points if args.points is not None else \
         min(scenario.count, 100)
-    points = as_cloud(scenario.points(count=count, seed=args.seed))
+    points = scenario.points(count=count, seed=args.seed)
     tol = args.tol if args.tol is not None else scenario.tolerances["fd"]
 
     cloud, _failure = solve_point(family, points, scenario.policy)
@@ -489,6 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         scenario = load_scenario(args.scenario)
         code, payload = _COMMANDS[args.command](scenario, args)
     except (ScenarioError, ExprError, FamilyError) as exc:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from heavenly.cliapp import scrambled_halton
 from heavenly.exprdsl import SmoothFn
 from heavenly.registry import (
     GeneralSolutionDef,
@@ -84,7 +85,4 @@ def random_shock_family(rng, n_seeds):
 
 
 def halton_cloud(count, seed):
-    from scipy.stats import qmc
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
-    pts = qmc.scale(sampler.random(count), BOX_LOWS, BOX_HIGHS)
-    return [tuple(float(v) for v in row) for row in pts]
+    return scrambled_halton(count, seed, BOX_LOWS, BOX_HIGHS)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import heavenly
 from heavenly.cliapp import (
     MAX_POINTS,
     MAX_RESOLUTION,
@@ -10,6 +15,7 @@ from heavenly.cliapp import (
     csv_header,
     load_scenario,
     main,
+    scrambled_halton,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,7 +83,17 @@ class TestLoadScenario:
         good = dict(BASE)
         good["sampling"] = {"points": [[0.1, 1.0, 1.0, 1.0]]}
         sc = load_scenario(write_scenario(tmp_path, good))
-        assert sc.points() == [(0.1, 1.0, 1.0, 1.0)]
+        assert np.array_equal(sc.points(), [[0.1, 1.0, 1.0, 1.0]])
+        assert sc.points().dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [[[0.1, "a", 1.0, 1.0]],
+                                      [[0.1, None, 1.0, 1.0]],
+                                      [[0.1, float("nan"), 1.0, 1.0]],
+                                      ["abcd"], [[0.1, 1.0, 1.0]], []])
+    def test_explicit_points_malformed(self, rows, tmp_path):
+        bad = dict(BASE, sampling={"points": rows})
+        with pytest.raises(ScenarioError, match="finite numbers"):
+            load_scenario(write_scenario(tmp_path, bad))
 
     def test_defaults(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, BASE))
@@ -168,10 +184,9 @@ class TestInputBounds:
 
     @pytest.fixture(autouse=True)
     def no_sampling(self, monkeypatch):
-        class Refuse:
-            def Halton(self, *args, **kwargs):
-                raise AssertionError("sampled a cloud past its bound")
-        monkeypatch.setattr("heavenly.cliapp.qmc", Refuse())
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a cloud past its bound")
+        monkeypatch.setattr("heavenly.cliapp.scrambled_halton", refuse)
 
     def test_resolution_bound(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -195,6 +210,56 @@ class TestInputBounds:
         path = write_scenario(tmp_path, BASE)
         assert main([command, path, "--points", str(MAX_POINTS + 1)]) == 2
         assert "exceeds the bound" in capsys.readouterr().err
+
+
+class TestSamplingSeed:
+    """A seed numpy cannot take is a configuration error, not a crash."""
+
+    def test_negative_seed_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", scenario_path("shock_n2"), "--seed", "-1"]) \
+            == 2
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5, True])
+    def test_bad_scenario_seed(self, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        sampling = dict(BASE["sampling"], seed=seed)
+        path = write_scenario(tmp_path, dict(BASE, sampling=sampling))
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "sampling.seed must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+
+class TestHaltonSampler:
+    LOWS = [-1.0, 0.5, 0.5, 0.5]
+    HIGHS = [1.0, 1.5, 1.5, 1.5]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_matches_scipy_bit_for_bit(self, seed):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for n in (1, 2, 40, 400, 5000, 20000):
+            ref = qmc.scale(qmc.Halton(d=4, scramble=True, seed=seed)
+                            .random(n), self.LOWS, self.HIGHS)
+            got = scrambled_halton(n, seed, self.LOWS, self.HIGHS)
+            assert np.array_equal(got, ref), (seed, n)
+
+    def test_points_in_box(self):
+        pts = scrambled_halton(1000, 3, self.LOWS, self.HIGHS)
+        assert pts.shape == (1000, 4) and pts.dtype == np.float64
+        assert (pts >= self.LOWS).all() and (pts < self.HIGHS).all()
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(heavenly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, heavenly.cliapp; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):
