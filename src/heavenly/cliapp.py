@@ -144,7 +144,24 @@ def _check_seed(seed, where: str):
                             f"not {seed!r}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; strings, bools and NaN are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{where} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    # bool is an int subclass; a float such as 2.5 is refused, not truncated
+    if type(value) is not int:
+        raise ScenarioError(f"{where} must be an integer, not {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, allowed, required, where: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
@@ -190,8 +207,8 @@ def load_scenario(path) -> Scenario:
         shared = SharedProfile(alpha=_smooth(sh["alpha"], ("t",), "alpha"),
                                beta=_smooth(sh["beta"], ("y",), "beta"),
                                delta=_smooth(sh["delta"], ("z",), "delta"),
-                               a=float(constants["a"]),
-                               b=float(constants["b"]))
+                               a=_number(constants["a"], "constants.a"),
+                               b=_number(constants["b"], "constants.b"))
     except FamilyError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -225,7 +242,9 @@ def load_scenario(path) -> Scenario:
     coeffs = raw["coefficients"]
     if not isinstance(coeffs, list) or len(coeffs) != len(defs):
         raise ScenarioError("coefficients must list one number per seed")
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_number(c, f"coefficients[{i}]") for i, c in enumerate(coeffs)]
+    if not any(coeffs):
+        raise ScenarioError("coefficients must not all be zero")
 
     sampling = raw["sampling"]
     _require_keys(sampling, ("box", "count", "seed", "points"), (),
@@ -248,20 +267,25 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError("sampling needs 'box' or 'points'")
         box_raw = sampling["box"]
         _require_keys(box_raw, tuple("xyzt"), tuple("xyzt"), "sampling.box")
-        box = {ax: (float(box_raw[ax][0]), float(box_raw[ax][1]))
-               for ax in "xyzt"}
+        box = {}
+        for ax in "xyzt":
+            where = f"sampling.box.{ax}"
+            if not isinstance(box_raw[ax], list) or len(box_raw[ax]) != 2:
+                raise ScenarioError(f"{where} must be a [low, high] pair")
+            box[ax] = tuple(_number(v, where) for v in box_raw[ax])
 
     branch = raw.get("branch", {})
     _require_keys(branch, ("p_lo", "p_hi", "resolution", "selection"), (),
                   "branch")
-    resolution = int(branch.get("resolution", 1024))
+    resolution = _integer(branch.get("resolution", 1024),
+                          "branch.resolution")
     if resolution > MAX_RESOLUTION:
         raise ScenarioError(f"branch: scan resolution {resolution} exceeds "
                             f"the bound of {MAX_RESOLUTION}")
     try:
         policy = BranchPolicy(
-            p_lo=float(branch.get("p_lo", -10.0)),
-            p_hi=float(branch.get("p_hi", 10.0)),
+            p_lo=_number(branch.get("p_lo", -10.0), "branch.p_lo"),
+            p_hi=_number(branch.get("p_hi", 10.0), "branch.p_hi"),
             resolution=resolution,
             selection=branch.get("selection", "lowest"))
     except ValueError as exc:
@@ -270,13 +294,14 @@ def load_scenario(path) -> Scenario:
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_raw = raw.get("tolerances", {})
     _require_keys(tol_raw, tuple(DEFAULT_TOLERANCES), (), "tolerances")
-    tolerances.update({k: float(v) for k, v in tol_raw.items()})
+    tolerances.update({k: _number(v, f"tolerances.{k}")
+                       for k, v in tol_raw.items()})
 
     expect = raw.get("expect", "satisfy")
     if expect not in ("satisfy", "violate"):
         raise ScenarioError(f"unknown expect value {expect!r}")
 
-    count = int(sampling.get("count", 1000))
+    count = _integer(sampling.get("count", 1000), "sampling.count")
     if explicit is None:
         _check_count(count)
     sample_seed = sampling.get("seed", 0)
@@ -331,7 +356,7 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
         if ch["quadratic_identity"]["max"] > tol["identity"]:
             failures.append("quadratic-form identity defect above tolerance")
     else:
-        if ch["seed_ghe"]["max"] > 1e-10:
+        if ch["seed_ghe"]["max"] > tol["seed_residual"]:
             failures.append("violation control: seeds do not solve the equation")
         if ch["superposed_ghe"]["median"] <= tol["violation"]:
             failures.append("expected violation not observed at most points")

@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
+# Depth bound of a parsed tree: parsing, differentiation, printing and the
+# root scan's bound walk it recursively.
+MAX_DEPTH = 64
 
 _MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
 
@@ -204,6 +207,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -242,11 +246,19 @@ class _Parser:
                 return e
 
     def parse_unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            return neg(self.parse_unary())
-        return self.parse_power()
+        # parentheses, calls, unary minus and ^ all nest through here
+        kind, text, off = self.peek()
+        if self.nesting >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH}",
+                             off)
+        self.nesting += 1
+        try:
+            if kind == "op" and text == "-":
+                self.next()
+                return neg(self.parse_unary())
+            return self.parse_power()
+        finally:
+            self.nesting -= 1
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -293,7 +305,20 @@ def parse(source: str, variables) -> Expr:
     kind, text, off = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected token '{text}'", off)
+    if _depth(e) > MAX_DEPTH:
+        # long chains such as p+p+...+p nest without parentheses
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH}", 0)
     return e
+
+
+def _depth(e: Expr) -> int:
+    """Number of nodes on the longest root-to-leaf path."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((a, d + 1) for a in node.args)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +510,15 @@ def compile_expr(e: Expr, variables):
     """
     import numpy as np
 
-    src = f"lambda {', '.join(variables)}: {_pysource(e)}"
-    env = {name: getattr(np, name) for name in FUNCTIONS}
     # env goes in globals: the lambda body resolves names there at call time
-    return eval(src, {"__builtins__": {}, **env})  # noqa: S307 - closed namespace
+    env = {name: getattr(np, name) for name in FUNCTIONS}
+    try:
+        src = f"lambda {', '.join(variables)}: {_pysource(e)}"
+        return eval(src, {"__builtins__": {}, **env})  # noqa: S307 - closed namespace
+    except (RecursionError, SyntaxError):
+        # a partial can nest deeper than Python's parser or stack allows
+        raise ExprError(f"expression too deeply nested to compile "
+                        f"(depth {_depth(e)})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,33 @@ The engine works on whole clouds: a point set is an (N, 4) array of
 (x, y, z, t) rows, the scan runs over fixed-size blocks of rows, and Newton
 runs over every bracket of every point at once.  A single point is a
 one-row cloud of the same code.
+
+The scan cuts the grid into cells of SCAN_CELL intervals and evaluates Phi
+only on the cells whose interval bound may hold 0 (R. E. Moore, Interval
+Analysis, 1966).  The bound encloses the values numpy computes, so the
+brackets and grid zeros are those of evaluating every node.
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import exprdsl
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-12
 EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
-# Scan elements per block: a block is SCAN_BUDGET // resolution cloud rows.
-# A constant, so results never depend on the cloud size.
+# Scan elements per block: a one-cell block is SCAN_BUDGET // resolution
+# cloud rows.  A constant, so results never depend on the cloud size.
 SCAN_BUDGET = 65536
+SCAN_CELL = 32           # grid intervals per scan cell
+RELATION_VARIABLES = ("p", "x", "y", "z", "t")
 
 
 class SolveError(RuntimeError):
@@ -37,14 +47,24 @@ class ImplicitRelation:
     """Bundle of Phi and D = dPhi/dp as numpy callables f(p, x, y, z, t).
 
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
-    (one value per bracket); phi_vec on scan blocks (grid row against a
-    column of points).  A result may come back as a Python float when the
-    expression is constant, so callers broadcast.
+    (one value per bracket); phi_vec on scan blocks: a (1, n) grid row, or
+    a slice of it, against (k, 1) columns of points.  A result may come
+    back as a Python float when the expression is constant, so callers
+    broadcast.
+
+    expr is the Phi expression over RELATION_VARIABLES that the callables
+    were compiled from (see relation_from_expr), or None for a relation
+    built from callables alone; the scan bounds Phi cell by cell only when
+    it has one.
     """
 
     phi: callable
     dphi: callable
     phi_vec: callable
+    expr: exprdsl.Expr | None = None
+    # the scan's bound program and cell bounds, built once per relation
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 @dataclass(frozen=True)
@@ -164,72 +184,184 @@ def _pick(root, first, counts, selection, target) -> np.ndarray:
     return np.where((0 <= k) & (k < counts), first + k, -1)
 
 
+def relation_from_expr(expr: exprdsl.Expr) -> ImplicitRelation:
+    """phi, dphi and phi_vec compiled from one Phi expression."""
+    phi = exprdsl.compile_expr(expr, RELATION_VARIABLES)
+    dphi = exprdsl.compile_expr(exprdsl.differentiate(expr, "p"),
+                                RELATION_VARIABLES)
+    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi, expr=expr)
+
+
 def shock_relation(sdef, shared) -> ImplicitRelation:
     """Phi = x + (alpha+beta+delta) F'(p) + G(p); D = S F'' + G'."""
-    F1 = sdef.F.compiled((1,))
-    F2 = sdef.F.compiled((2,))
-    G0 = sdef.G.compiled((0,))
-    G1 = sdef.G.compiled((1,))
-    al = shared.alpha.compiled((0,))
-    be = shared.beta.compiled((0,))
-    de = shared.delta.compiled((0,))
-
-    def phi(p, x, y, z, t):
-        return x + (al(t) + be(y) + de(z)) * F1(p) + G0(p)
-
-    def dphi(p, x, y, z, t):
-        return (al(t) + be(y) + de(z)) * F2(p) + G1(p)
-
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
+    S = exprdsl.add(exprdsl.add(shared.alpha.expr, shared.beta.expr),
+                    shared.delta.expr)
+    return relation_from_expr(exprdsl.add(
+        exprdsl.add(exprdsl.var("x"), exprdsl.mul(S, sdef.F.partial(1))),
+        sdef.G.expr))
 
 
 def general_relation(gdef) -> ImplicitRelation:
     """Phi = x + d1Q(p,y) + d1R(p,z) + T(p,t); D = d11Q + d11R + d1T."""
-    Q1 = gdef.Q.compiled((1, 0))
-    Q11 = gdef.Q.compiled((2, 0))
-    R1 = gdef.R.compiled((1, 0))
-    R11 = gdef.R.compiled((2, 0))
-    T0 = gdef.T.compiled((0, 0))
-    T1 = gdef.T.compiled((1, 0))
+    return relation_from_expr(exprdsl.add(exprdsl.add(exprdsl.add(
+        exprdsl.var("x"), gdef.Q.partial(1, 0)), gdef.R.partial(1, 0)),
+        gdef.T.expr))
 
-    def phi(p, x, y, z, t):
-        return x + Q1(p, y) + R1(p, z) + T0(p, t)
 
-    def dphi(p, x, y, z, t):
-        return Q11(p, y) + R11(p, z) + T1(p, t)
+_BOUNDED = ("add", "sub", "mul", "div", "neg")
 
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
+
+def _split(e: exprdsl.Expr):
+    """The bound program of a Phi expression, or None if it has none.
+
+    Leaves are the maximal subtrees in p only ("row") and free of p
+    ("col"), each compiled; the nodes between them are + - * / and
+    negation.  A call or ^ between them leaves Phi unbounded.
+    """
+    names = exprdsl.free_variables(e)
+    if "p" not in names:
+        return ("col", exprdsl.compile_expr(e, RELATION_VARIABLES))
+    if names == {"p"}:
+        return ("row", exprdsl.compile_expr(e, RELATION_VARIABLES))
+    if e.kind not in _BOUNDED:
+        return None
+    parts = [_split(a) for a in e.args]
+    if any(part is None for part in parts):
+        return None
+    return (e.kind, *parts)
+
+
+def _on_cells(node, grid, nodes):
+    """node with each row leaf replaced by its (1, cells) min and max."""
+    if node[0] == "row":
+        vals = np.broadcast_to(np.asarray(node[1](grid[None, :], None, None,
+                                                  None, None), dtype=float),
+                               (1, len(grid)))[0][nodes]
+        return ("row", vals.min(axis=1)[None], vals.max(axis=1)[None])
+    if node[0] == "col":
+        return node
+    return (node[0], *(_on_cells(child, grid, nodes) for child in node[1:]))
+
+
+def _bound(node, cols):
+    """Lower and upper bounds of a program node on each (row, cell).
+
+    Rounding to nearest is non-decreasing in each operand of + - * / and
+    negation, so the bounds enclose the computed values; nan means none.
+    """
+    kind = node[0]
+    if kind == "row":
+        return node[1], node[2]
+    if kind == "col":
+        v = node[1](None, *cols)
+        return v, v
+    a_lo, a_hi = _bound(node[1], cols)
+    if kind == "neg":
+        return -a_hi, -a_lo
+    b_lo, b_hi = _bound(node[2], cols)
+    if kind == "add":
+        return a_lo + b_lo, a_hi + b_hi
+    if kind == "sub":
+        return a_lo - b_hi, a_hi - b_lo
+    if kind == "mul":
+        corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    else:
+        corners = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
+    lo = functools.reduce(np.minimum, corners)
+    hi = functools.reduce(np.maximum, corners)
+    if kind == "div":
+        # a divisor that may hold 0 gives no bound
+        safe = (b_lo > 0.0) | (b_hi < 0.0)
+        lo, hi = np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)
+    return lo, hi
+
+
+def _cells(rel: ImplicitRelation, policy: BranchPolicy):
+    """Grid, first node of each cell, nodes per cell and bound program.
+
+    Without a bound program the whole grid is one cell.  Built once per
+    relation and grid.
+    """
+    key = (policy.p_lo, policy.p_hi, policy.resolution)
+    cache = rel._cache
+    if key not in cache:
+        if "split" not in cache:
+            cache["split"] = None if rel.expr is None else _split(rel.expr)
+        program = cache["split"]
+        grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
+        last = len(grid) - 1
+        cell = last if program is None else min(SCAN_CELL, last)
+        starts = np.arange(0, last, cell)
+        if program is not None:
+            nodes = np.minimum(starts[:, None] + np.arange(cell + 1), last)
+            program = _on_cells(program, grid, nodes)
+        cache[key] = grid, starts, cell + 1, program
+    return cache[key]
 
 
 def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
-    """Sign-change brackets and exact grid zeros of Phi, block by block."""
-    grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
+    """Sign-change brackets and exact grid zeros of Phi, cell by cell.
+
+    phi_vec runs on a cell's slice of the grid against the block rows whose
+    bound on that cell is not strictly positive or strictly negative.  A
+    relation without a bound program is one cell spanning the grid.
+    """
+    grid, starts, width, program = _cells(rel, policy)
     row = grid[None, :]
-    rows = max(1, SCAN_BUDGET // policy.resolution)
+    last = len(grid) - 1
+    n_cells = len(starts)
+    # a block keeps about eight (rows, cells) bound arrays and one
+    # (rows, width) value array alive: both near SCAN_BUDGET elements
+    rows = max(1, min(SCAN_BUDGET // (8 * n_cells), SCAN_BUDGET // width))
     found = {"b_owner": [], "b_col": [], "b_flo": [], "z_owner": [],
              "z_col": []}
-    width = len(grid)
     for start in range(0, len(pts), rows):
         block = pts[start:start + rows]
-        vals = np.broadcast_to(np.asarray(
-            rel.phi_vec(row, *(block[:, k:k + 1] for k in range(4))),
-            dtype=float), (len(block), width))
+        cols = [block[:, k:k + 1] for k in range(4)]
+        if program is None:
+            need = np.ones((len(block), 1), dtype=bool)
+        else:
+            lo, hi = _bound(program, cols)
+            # nan fails both tests, so an unbounded cell is evaluated
+            need = np.broadcast_to(np.logical_not((lo > 0.0) | (hi < 0.0)),
+                                   (len(block), n_cells))
+        cell, r = np.nonzero(need.T)        # by cell, rows ascending
+        if n_cells == 1 and len(r) == len(block):
+            vals = np.broadcast_to(np.asarray(rel.phi_vec(row, *cols),
+                                              dtype=float), (len(r), width))
+        else:
+            # nan pads the last cell: no bracket, no zero
+            vals = np.full((len(r), width), np.nan)
+            counts = np.count_nonzero(need, axis=0)
+            ends = np.cumsum(counts)
+            for k in np.flatnonzero(counts):
+                s, e = ends[k] - counts[k], ends[k]
+                sub = block[r[s:e]]
+                nodes = row[:, starts[k]:starts[k] + width]
+                vals[s:e, :nodes.shape[1]] = rel.phi_vec(
+                    nodes, *(sub[:, c:c + 1] for c in range(4)))
         finite = np.isfinite(vals)
         change = vals[:, :-1] * vals[:, 1:] < 0.0
         if not finite.all():
             change &= finite[:, :-1] & finite[:, 1:]
-        r, c = np.divmod(np.flatnonzero(change), width - 1)
-        found["b_owner"].append(r + start)
-        found["b_col"].append(c)
-        found["b_flo"].append(vals[r, c])
+        i, j = np.divmod(np.flatnonzero(change), width - 1)
+        found["b_owner"].append(r[i] + start)
+        found["b_col"].append(starts[cell[i]] + j)
+        found["b_flo"].append(vals[i, j])
         zero = vals == 0.0
         if zero.any():
-            r, c = np.divmod(np.flatnonzero(zero), width)
-            found["z_owner"].append(r + start)
-            found["z_col"].append(c)
+            i, j = np.divmod(np.flatnonzero(zero), width)
+            node = starts[cell[i]] + j
+            # a node two cells share counts in the cell it starts
+            once = (j < width - 1) | (node == last)
+            found["z_owner"].append(r[i][once] + start)
+            found["z_col"].append(node[once])
     cat = {k: np.concatenate(v) if v else np.zeros(0, dtype=int)
            for k, v in found.items()}
-    return grid, cat
+    # by row, then by node: the order of a scan over every node
+    b = np.lexsort((cat["b_col"], cat["b_owner"]))
+    z = np.lexsort((cat["z_col"], cat["z_owner"]))
+    return grid, {k: v[b if k[0] == "b" else z] for k, v in cat.items()}
 
 
 def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):

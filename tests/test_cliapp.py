@@ -234,6 +234,48 @@ class TestSamplingSeed:
         assert "Traceback" not in err
 
 
+class TestMalformedValues:
+    """A scenario value of the wrong type or range exits 2 with a message."""
+
+    NAN = float("nan")
+    DEEP = "(" * 3000 + "p" + ")" * 3000
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"sampling": dict(BASE["sampling"], count="abc")}, "sampling.count"),
+        ({"sampling": dict(BASE["sampling"], count=2.5)}, "sampling.count"),
+        ({"branch": {"resolution": "x"}}, "branch.resolution"),
+        ({"branch": {"p_hi": NAN}}, "branch.p_hi"),
+        ({"coefficients": ["a"]}, "coefficients[0]"),
+        ({"coefficients": [0.0]}, "must not all be zero"),
+        ({"constants": {"a": "x", "b": 1.0}}, "constants.a"),
+        ({"tolerances": {"residual": "tight"}}, "tolerances.residual"),
+        ({"tolerances": {"seed_residual": NAN}}, "tolerances.seed_residual"),
+        ({"sampling": dict(BASE["sampling"], box=dict(
+            BASE["sampling"]["box"], y=[1]))}, "sampling.box.y"),
+        ({"sampling": dict(BASE["sampling"], box=dict(
+            BASE["sampling"]["box"], z=[0.5, NAN]))}, "sampling.box.z"),
+        ({"seeds": ["pos"]}, "seeds[0] must be a JSON object"),
+        ({"seeds": [dict(BASE["seeds"][0], F=DEEP)]}, "nested deeper"),
+    ])
+    def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, dict(BASE, **patch))
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_violate_mode_honours_seed_residual(tmp_path, monkeypatch, capsys):
+    # the negative control's seeds solve the equation to about 5e-16
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(Path(scenario_path("general_unbalanced")).read_text())
+    assert main(["verify", write_scenario(tmp_path, raw)]) == 0
+    raw["tolerances"] = {"seed_residual": 1e-17}
+    assert main(["verify", write_scenario(tmp_path, raw)]) == 1
+    assert "seeds do not solve the equation" in capsys.readouterr().out
+
+
 class TestHaltonSampler:
     LOWS = [-1.0, 0.5, 0.5, 0.5]
     HIGHS = [1.0, 1.5, 1.5, 1.5]

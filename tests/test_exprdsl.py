@@ -34,6 +34,26 @@ class TestParse:
         assert evaluate(e, {"p": 2.0, "y": math.pi / 2}) == \
             pytest.approx(math.pi + 1.0)
 
+    @pytest.mark.parametrize("source", [
+        "(" * 3000 + "p" + ")" * 3000, "-" * 3000 + "p", "p^" * 3000 + "p",
+        "sin(" * 100 + "p" + ")" * 100, "+".join(["p"] * 3000)],
+        ids=["parentheses", "unary", "power", "calls", "chain"])
+    def test_nesting_bound(self, source):
+        with pytest.raises(ParseError, match="nested deeper than 64"):
+            parse(source, ["p"])
+
+    def test_nesting_inside_bound(self):
+        assert evaluate(parse("(" * 63 + "p" + ")" * 63, ["p"]),
+                        {"p": 2.0}) == 2.0
+
+    def test_partial_too_deep_to_compile(self):
+        source = "p"
+        for _ in range(16):
+            source = f"log({source})/p"
+        fn = SmoothFn.parse(source, ("p",))
+        with pytest.raises(ExprError, match="too deeply nested to compile"):
+            fn.compiled((3,))
+
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as exc:
             parse("p +* 2", ["p"])
