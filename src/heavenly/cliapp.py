@@ -145,11 +145,16 @@ def _check_seed(seed, where: str):
 
 
 def _number(value, where: str) -> float:
-    """A finite JSON number as a float; strings, bools and NaN are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ScenarioError(f"{where} must be a finite number, not {value!r}")
-    return float(value)
+    """A finite JSON number as a float; strings, bools, NaN and integers
+    beyond the float range are refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(f"{where} must be a finite number, not {value!r}")
 
 
 def _integer(value, where: str) -> int:
@@ -185,7 +190,8 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise ScenarioError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -282,11 +288,11 @@ def load_scenario(path) -> Scenario:
     if resolution > MAX_RESOLUTION:
         raise ScenarioError(f"branch: scan resolution {resolution} exceeds "
                             f"the bound of {MAX_RESOLUTION}")
+    p_lo = _number(branch.get("p_lo", -10.0), "branch.p_lo")
+    p_hi = _number(branch.get("p_hi", 10.0), "branch.p_hi")
     try:
         policy = BranchPolicy(
-            p_lo=_number(branch.get("p_lo", -10.0), "branch.p_lo"),
-            p_hi=_number(branch.get("p_hi", 10.0), "branch.p_hi"),
-            resolution=resolution,
+            p_lo=p_lo, p_hi=p_hi, resolution=resolution,
             selection=branch.get("selection", "lowest"))
     except ValueError as exc:
         raise ScenarioError(f"branch: {exc}") from None

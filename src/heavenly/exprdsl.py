@@ -15,9 +15,14 @@ import math
 from dataclasses import dataclass, field
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
-# Depth bound of a parsed tree: parsing, differentiation, printing and the
-# root scan's bound walk it recursively.
-MAX_DEPTH = 64
+# Nesting bound of parentheses, calls, unary minus and ^ in a source: the
+# parser recurses once per level.
+MAX_NESTING = 64
+# Depth bound of a parsed tree.  Chains such as p+p+...+p nest without
+# parentheses; differentiation, printing and the root scan's bound walk the
+# tree recursively, and compiled source stays under Python's 200 nested
+# parentheses only for trees about this shallow.
+MAX_DEPTH = 200
 
 _MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
 
@@ -248,8 +253,8 @@ class _Parser:
     def parse_unary(self) -> Expr:
         # parentheses, calls, unary minus and ^ all nest through here
         kind, text, off = self.peek()
-        if self.nesting >= MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH}",
+        if self.nesting >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING}",
                              off)
         self.nesting += 1
         try:
@@ -306,8 +311,7 @@ def parse(source: str, variables) -> Expr:
     if kind != "end":
         raise ParseError(f"unexpected token '{text}'", off)
     if _depth(e) > MAX_DEPTH:
-        # long chains such as p+p+...+p nest without parentheses
-        raise ParseError(f"expression nested deeper than {MAX_DEPTH}", 0)
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH}", 0)
     return e
 
 
@@ -327,35 +331,48 @@ def _depth(e: Expr) -> int:
 
 def differentiate(e: Expr, wrt: str) -> Expr:
     """Symbolic derivative of e with respect to the variable `wrt`."""
+    try:
+        return _differentiate(e, wrt)
+    except RecursionError:
+        # each order can deepen the tree: a product chain's doubles
+        raise ExprError(f"expression too deeply nested to differentiate "
+                        f"(depth {_depth(e)})") from None
+
+
+def _differentiate(e: Expr, wrt: str) -> Expr:
     k = e.kind
     if k == "const":
         return ZERO
     if k == "var":
         return ONE if e.name == wrt else ZERO
     if k == "neg":
-        return neg(differentiate(e.args[0], wrt))
+        return neg(_differentiate(e.args[0], wrt))
     if k == "add":
-        return add(differentiate(e.args[0], wrt), differentiate(e.args[1], wrt))
+        return add(_differentiate(e.args[0], wrt),
+                   _differentiate(e.args[1], wrt))
     if k == "sub":
-        return sub(differentiate(e.args[0], wrt), differentiate(e.args[1], wrt))
+        return sub(_differentiate(e.args[0], wrt),
+                   _differentiate(e.args[1], wrt))
     if k == "mul":
         a, b = e.args
-        return add(mul(differentiate(a, wrt), b), mul(a, differentiate(b, wrt)))
+        return add(mul(_differentiate(a, wrt), b),
+                   mul(a, _differentiate(b, wrt)))
     if k == "div":
         a, b = e.args
-        num = sub(mul(differentiate(a, wrt), b), mul(a, differentiate(b, wrt)))
+        num = sub(mul(_differentiate(a, wrt), b),
+                  mul(a, _differentiate(b, wrt)))
         return div(num, pow_(b, const(2.0)))
     if k == "pow":
         a, b = e.args
         if b.kind == "const":
             return mul(mul(b, pow_(a, const(b.value - 1.0))),
-                       differentiate(a, wrt))
+                       _differentiate(a, wrt))
         # general f^g via exp(g log f)
-        da, db = differentiate(a, wrt), differentiate(b, wrt)
+        da, db = _differentiate(a, wrt), _differentiate(b, wrt)
         return mul(e, add(mul(db, call("log", a)), div(mul(b, da), a)))
     if k == "call":
         arg = e.args[0]
-        darg = differentiate(arg, wrt)
+        darg = _differentiate(arg, wrt)
         f = e.name
         if f == "sin":
             outer = call("cos", arg)

@@ -31,8 +31,9 @@ TOL_REL = 1e-12
 EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
-# Scan elements per block: a one-cell block is SCAN_BUDGET // resolution
-# cloud rows.  A constant, so results never depend on the cloud size.
+# Scan elements alive per block: a one-cell block is
+# SCAN_BUDGET // (2 * resolution) cloud rows.  A constant, so results never
+# depend on the cloud size.
 SCAN_BUDGET = 65536
 SCAN_CELL = 32           # grid intervals per scan cell
 RELATION_VARIABLES = ("p", "x", "y", "z", "t")
@@ -310,54 +311,52 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     row = grid[None, :]
     last = len(grid) - 1
     n_cells = len(starts)
-    # a block keeps about eight (rows, cells) bound arrays and one
-    # (rows, width) value array alive: both near SCAN_BUDGET elements
-    rows = max(1, min(SCAN_BUDGET // (8 * n_cells), SCAN_BUDGET // width))
-    found = {"b_owner": [], "b_col": [], "b_flo": [], "z_owner": [],
-             "z_col": []}
+    # A block keeps about eight (rows, cells) bound arrays alive.  Its
+    # (row, cell) pairs are evaluated in chunks whose values are held twice,
+    # as phi_vec results and as the chunk's array: half of SCAN_BUDGET each.
+    chunk = max(1, SCAN_BUDGET // (2 * width))
+    rows = max(1, min(SCAN_BUDGET // (8 * n_cells), chunk))
+    # typed empty entries: a cloud whose cells are all skipped finds none
+    found = {k: [np.zeros(0, dtype=float if k == "b_flo" else np.intp)]
+             for k in ("b_owner", "b_col", "b_flo", "z_owner", "z_col")}
     for start in range(0, len(pts), rows):
         block = pts[start:start + rows]
-        cols = [block[:, k:k + 1] for k in range(4)]
         if program is None:
             need = np.ones((len(block), 1), dtype=bool)
         else:
-            lo, hi = _bound(program, cols)
+            lo, hi = _bound(program, [block[:, k:k + 1] for k in range(4)])
             # nan fails both tests, so an unbounded cell is evaluated
             need = np.broadcast_to(np.logical_not((lo > 0.0) | (hi < 0.0)),
                                    (len(block), n_cells))
         cell, r = np.nonzero(need.T)        # by cell, rows ascending
-        if n_cells == 1 and len(r) == len(block):
-            vals = np.broadcast_to(np.asarray(rel.phi_vec(row, *cols),
-                                              dtype=float), (len(r), width))
-        else:
+        for c0 in range(0, len(r), chunk):
+            node0 = starts[cell[c0:c0 + chunk]]
+            owner = r[c0:c0 + chunk]
             # nan pads the last cell: no bracket, no zero
-            vals = np.full((len(r), width), np.nan)
-            counts = np.count_nonzero(need, axis=0)
-            ends = np.cumsum(counts)
-            for k in np.flatnonzero(counts):
-                s, e = ends[k] - counts[k], ends[k]
-                sub = block[r[s:e]]
-                nodes = row[:, starts[k]:starts[k] + width]
+            vals = np.full((len(owner), width), np.nan)
+            runs = np.flatnonzero(np.diff(node0)) + 1
+            for s, e in zip(np.r_[0, runs], np.r_[runs, len(owner)]):
+                sub = block[owner[s:e]]
+                nodes = row[:, node0[s]:node0[s] + width]
                 vals[s:e, :nodes.shape[1]] = rel.phi_vec(
                     nodes, *(sub[:, c:c + 1] for c in range(4)))
-        finite = np.isfinite(vals)
-        change = vals[:, :-1] * vals[:, 1:] < 0.0
-        if not finite.all():
-            change &= finite[:, :-1] & finite[:, 1:]
-        i, j = np.divmod(np.flatnonzero(change), width - 1)
-        found["b_owner"].append(r[i] + start)
-        found["b_col"].append(starts[cell[i]] + j)
-        found["b_flo"].append(vals[i, j])
-        zero = vals == 0.0
-        if zero.any():
-            i, j = np.divmod(np.flatnonzero(zero), width)
-            node = starts[cell[i]] + j
-            # a node two cells share counts in the cell it starts
-            once = (j < width - 1) | (node == last)
-            found["z_owner"].append(r[i][once] + start)
-            found["z_col"].append(node[once])
-    cat = {k: np.concatenate(v) if v else np.zeros(0, dtype=int)
-           for k, v in found.items()}
+            finite = np.isfinite(vals)
+            change = vals[:, :-1] * vals[:, 1:] < 0.0
+            if not finite.all():
+                change &= finite[:, :-1] & finite[:, 1:]
+            i, j = np.divmod(np.flatnonzero(change), width - 1)
+            found["b_owner"].append(owner[i] + start)
+            found["b_col"].append(node0[i] + j)
+            found["b_flo"].append(vals[i, j])
+            zero = vals == 0.0
+            if zero.any():
+                i, j = np.divmod(np.flatnonzero(zero), width)
+                node = node0[i] + j
+                # a node two cells share counts in the cell it starts
+                once = (j < width - 1) | (node == last)
+                found["z_owner"].append(owner[i][once] + start)
+                found["z_col"].append(node[once])
+    cat = {k: np.concatenate(v) for k, v in found.items()}
     # by row, then by node: the order of a scan over every node
     b = np.lexsort((cat["b_col"], cat["b_owner"]))
     z = np.lexsort((cat["z_col"], cat["z_owner"]))

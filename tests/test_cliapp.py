@@ -256,6 +256,9 @@ class TestMalformedValues:
             BASE["sampling"]["box"], z=[0.5, NAN]))}, "sampling.box.z"),
         ({"seeds": ["pos"]}, "seeds[0] must be a JSON object"),
         ({"seeds": [dict(BASE["seeds"][0], F=DEEP)]}, "nested deeper"),
+        ({"coefficients": [10 ** 400]}, "coefficients[0]"),
+        ({"sampling": dict(BASE["sampling"], box=dict(
+            BASE["sampling"]["box"], x=[-1, 10 ** 400]))}, "sampling.box.x"),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -264,6 +267,16 @@ class TestMalformedValues:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+def test_long_sum_verifies(tmp_path, monkeypatch):
+    # 100 terms nest 100 deep without a parenthesis; the parser's nesting
+    # bound of 64 counts parentheses, calls, unary minus and ^ only
+    monkeypatch.chdir(tmp_path)
+    seed = dict(BASE["seeds"][0], F="+".join(["p^2/200"] * 100),
+                G="+".join(["p/100"] * 100))
+    path = write_scenario(tmp_path, dict(BASE, seeds=[seed]))
+    assert main(["verify", path]) == 0
 
 
 def test_violate_mode_honours_seed_residual(tmp_path, monkeypatch, capsys):

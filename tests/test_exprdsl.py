@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heavenly.exprdsl import (
     EvalDomainError,
+    Expr,
     ExprError,
     ParseError,
     SmoothFn,
@@ -36,8 +37,8 @@ class TestParse:
 
     @pytest.mark.parametrize("source", [
         "(" * 3000 + "p" + ")" * 3000, "-" * 3000 + "p", "p^" * 3000 + "p",
-        "sin(" * 100 + "p" + ")" * 100, "+".join(["p"] * 3000)],
-        ids=["parentheses", "unary", "power", "calls", "chain"])
+        "sin(" * 100 + "p" + ")" * 100],
+        ids=["parentheses", "unary", "power", "calls"])
     def test_nesting_bound(self, source):
         with pytest.raises(ParseError, match="nested deeper than 64"):
             parse(source, ["p"])
@@ -45,6 +46,21 @@ class TestParse:
     def test_nesting_inside_bound(self):
         assert evaluate(parse("(" * 63 + "p" + ")" * 63, ["p"]),
                         {"p": 2.0}) == 2.0
+
+    def test_tree_depth_bound(self):
+        # a chain nests without parentheses; 200 terms are 200 levels
+        assert evaluate(parse("+".join(["p"] * 200), ["p"]),
+                        {"p": 1.0}) == 200.0
+        for terms in (201, 3000):
+            with pytest.raises(ParseError, match="tree deeper than 200"):
+                parse("+".join(["p"] * terms), ["p"])
+
+    def test_differentiate_too_deep(self):
+        e = parse("p", ["p"])
+        for _ in range(5000):
+            e = Expr("mul", args=(e, parse("p", ["p"])))
+        with pytest.raises(ExprError, match="too deeply nested to differ"):
+            differentiate(e, "p")
 
     def test_partial_too_deep_to_compile(self):
         source = "p"

@@ -3,6 +3,7 @@ grid node, bit for bit, and evaluates only the cells its bound cannot
 clear."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from _scan_reference import full_scan
 from heavenly import exprdsl
 from heavenly.cliapp import load_scenario
 from heavenly.implicitsolve import (
+    SCAN_BUDGET,
     SCAN_CELL,
     BranchPolicy,
     ImplicitRelation,
@@ -203,6 +205,32 @@ class TestCellWork:
         with np.errstate(all="ignore"):
             _scan(dataclasses.replace(rel, phi_vec=counted), pts, sc.policy)
         assert 0 < sum(seen) <= 2 * len(pts) * (SCAN_CELL + 1)
+
+    def test_uncleared_cells_stay_within_the_budget(self):
+        # R_p = 1000*z*p - 1000*z*p is 0 on the grid, but its bound is as
+        # wide as 2000*|z*p|: few cells clear, and a block's (row, cell)
+        # pairs outnumber one chunk of values
+        rel = general(R="500*z*p^2 - 500*z*p^2")
+        assert bounded(rel)
+        seen = []
+
+        def counted(p, *cols):
+            seen.append(p.size * len(cols[0]))
+            return rel.phi_vec(p, *cols)
+
+        pts = cloud(600)
+        counting = dataclasses.replace(rel, phi_vec=counted)
+        assert_same_scan(counting, pts)
+        assert sum(seen) > 0.5 * len(pts) * 1024
+        with np.errstate(all="ignore"):
+            tracemalloc.start()
+            try:
+                _scan(rel, pts, BranchPolicy())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a block of every node, and its temporaries, is 4 * 512 KB
+        assert peak <= 4 * SCAN_BUDGET * 8
 
     def test_bound_built_once_per_relation(self, monkeypatch):
         rel = general(Q="y*p^2/2", T="p^3 - p")
