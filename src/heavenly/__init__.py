@@ -29,7 +29,7 @@ from .registry import (
     build_general_family,
     build_shock_family,
 )
-from .superpose import superpose, verify_theorem
+from .superpose import verify_theorem
 
 __all__ = [
     "BranchPolicy", "Expr", "FieldSample", "GeneralSolutionDef",
@@ -39,5 +39,5 @@ __all__ = [
     "continue_branch", "differentiate", "enumerate_roots", "evaluate",
     "fd_partial", "general_derivatives", "ghe_residual", "n_term_balance",
     "pairwise_balance", "parse", "poisson_bracket", "reduced_balance",
-    "shock_derivatives", "superpose", "verify_theorem",
+    "shock_derivatives", "verify_theorem",
 ]

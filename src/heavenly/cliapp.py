@@ -502,18 +502,12 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     n_hole, n_near_fold = cloud.count(HOLE), cloud.count(FOLD)
     max_dev = 0.0
     n_ok = 0
-    relations = [family.relation(i) for i in range(family.size)]
-    for k in range(len(cloud.admissible)):
-        for i, s in enumerate(cloud.samples):
-            cert = fdoracle.certify_sample(s.lane(k), relations[i], family,
-                                           i)
-            if cert.status == "ok":
-                n_ok += 1
-                max_dev = max(max_dev, cert.max_deviation)
-            elif cert.status == "near-fold":
-                n_near_fold += 1
-            else:
-                n_hole += 1
+    for i, s in enumerate(cloud.samples):
+        cert = fdoracle.certify_sample(s, family.relation(i), family, i)
+        n_ok += cert.certified
+        n_near_fold += cert.near_fold
+        n_hole += cert.holes
+        max_dev = max(max_dev, cert.max_deviation)
 
     failures = []
     if n_ok == 0:

@@ -74,9 +74,18 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return e.kind == "const" and (v is None or e.value == v)
 
 
+def _folded(kind: str, a: Expr, b: Expr, value) -> Expr:
+    """The constant a <kind> b folds to; an undefined or non-finite one is
+    refused, since compiled code would raise or print it as a bare name."""
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise ExprError(f"constant '{to_source(Expr(kind, args=(a, b)))}' "
+                        f"is undefined or not finite")
+    return const(value)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
+        return _folded("add", a, b, a.value + b.value)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -86,7 +95,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
+        return _folded("sub", a, b, a.value - b.value)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -96,7 +105,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
+        return _folded("mul", a, b, a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
     if _is_const(a, 1.0):
@@ -111,8 +120,9 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return const(a.value / b.value)
+    if _is_const(a) and _is_const(b):
+        return _folded("div", a, b, a.value / b.value if b.value
+                       else math.nan)
     return Expr("div", args=(a, b))
 
 
@@ -125,10 +135,8 @@ def pow_(a: Expr, b: Expr) -> Expr:
         try:
             v = a.value ** b.value
         except (ValueError, OverflowError, ZeroDivisionError):
-            return Expr("pow", args=(a, b))
-        if isinstance(v, complex) or not math.isfinite(v):
-            return Expr("pow", args=(a, b))
-        return const(v)
+            v = math.nan
+        return _folded("pow", a, b, v)
     return Expr("pow", args=(a, b))
 
 
@@ -277,7 +285,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, off = self.next()
         if kind == "num":
-            return const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number '{text}' out of range", off)
+            return const(value)
         if kind == "ident":
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":

@@ -12,6 +12,7 @@ from _families import (
 from heavenly.calculus import (
     ZERO_SAMPLE,
     DegenerateSampleError,
+    FieldSample,
     compat_residuals,
     general_derivatives,
     ghe_residual,
@@ -188,6 +189,16 @@ class TestResiduals:
         assert ghe_residual(ZERO_SAMPLE, shared).value == 0.0
         r1, r2 = compat_residuals(ZERO_SAMPLE)
         assert (r1.value, r2.value) == (0.0, 0.0)
+
+    def test_residual_is_the_declared_form(self):
+        # a{r,p}_{yt} + b{r,q}_{xt}, {A,B}_{uv} = A_u B_v - A_v B_u; here
+        # {r,p}_{yt} = 5 and {r,q}_{xt} = -8 while {q,p}_{xt} = 8
+        s = FieldSample(p=0.0, q=0.0, r=0.0, p_x=1.0, p_y=2.0, p_z=0.0,
+                        p_t=3.0, q_x=5.0, q_y=0.0, q_t=7.0, r_x=11.0,
+                        r_y=13.0, r_z=0.0, r_t=17.0)
+        shared = simple_shared(a=2.0, b=-3.0)
+        assert s.q_x * s.p_t - s.q_t * s.p_x == 8.0
+        assert ghe_residual(s, shared).value == 2.0 * 5.0 - 3.0 * -8.0
 
     def test_residual_scales_quadratically(self):
         all_samples, shared = self._samples(10)

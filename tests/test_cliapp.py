@@ -259,6 +259,9 @@ class TestMalformedValues:
         ({"coefficients": [10 ** 400]}, "coefficients[0]"),
         ({"sampling": dict(BASE["sampling"], box=dict(
             BASE["sampling"]["box"], x=[-1, 10 ** 400]))}, "sampling.box.x"),
+        *(({"seeds": [dict(BASE["seeds"][0], G=g)]}, "not finite")
+          for g in ("p + 1/0", "p + 0/0", "p + 1/(1-1)", "p + 1e308*10",
+                    "p + 10^400")),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,12 +1,17 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _families import halton_cloud, quadratic_shock_def, sf, simple_shared
+from heavenly import fdoracle
 from heavenly.calculus import FieldSample
+from heavenly.cliapp import load_scenario
 from heavenly.fdoracle import StencilHoleError, certify_sample, fd_partial
-from heavenly.implicitsolve import BranchPolicy, enumerate_roots
+from heavenly.implicitsolve import BranchPolicy, enumerate_roots, \
+    solve_on_sheet
 from heavenly.registry import ShockSolutionDef, build_shock_family
 from heavenly.superpose import solve_point
 
@@ -96,3 +101,78 @@ class TestCertifySample:
         assert cert.status == "ok"
         for name in ("q_x", "q_y", "q_t", "r_x", "r_y", "r_z", "r_t"):
             assert cert.deviations[name] <= 1e-10
+
+
+def shock_cloud(n, seed=21):
+    """One-seed shock family and its solved cloud sample of n points."""
+    fam = build_shock_family([quadratic_shock_def()], simple_shared())
+    cloud, failure = solve_point(fam, halton_cloud(n, seed=seed),
+                                 BranchPolicy())
+    assert failure is None
+    return fam, cloud.samples[0]
+
+
+class TestCertifyCloud:
+    @pytest.mark.parametrize("name", ["shock_n3", "general_balanced"])
+    def test_cloud_matches_lane_by_lane(self, name):
+        # 600 samples span three blocks of 256
+        sc = load_scenario(Path(__file__).resolve().parent.parent
+                           / "scenarios" / f"{name}.json")
+        fam = sc.build_family()
+        cloud, _ = solve_point(fam, sc.points(count=600, seed=5), sc.policy)
+        assert len(cloud.admissible) > 256
+        for i, s in enumerate(cloud.samples):
+            rel = fam.relation(i)
+            cert = certify_sample(s, rel, fam, i)
+            lanes = [certify_sample(s.lane(k), rel, fam, i)
+                     for k in range(len(cloud.admissible))]
+            counts = [sum(getattr(c, f) for c in lanes)
+                      for f in ("certified", "near_fold", "holes")]
+            assert [cert.certified, cert.near_fold, cert.holes] == counts
+            assert cert.max_deviation == max(c.max_deviation for c in lanes)
+            for partial in FieldSample.PARTIAL_NAMES:
+                assert cert.deviations[partial] == \
+                    max(c.deviations[partial] for c in lanes)
+
+    def test_mixed_lanes(self):
+        fam, s = shock_cloud(40)
+        rel = fam.relation(0)
+        deriv = s.report.deriv.copy()
+        deriv[[3, 8, 9]] = 1e-4                 # near-fold: skipped
+        p = s.p.copy()
+        p[[1, 9, 20, 30]] = np.nan              # no on-sheet root: holes
+        mixed = dataclasses.replace(
+            s, p=p, report=dataclasses.replace(s.report, deriv=deriv))
+        cert = certify_sample(mixed, rel, fam, 0)
+        assert (cert.certified, cert.near_fold, cert.holes) == (34, 3, 3)
+        assert cert.status == "ok"
+        assert 0.0 < cert.max_deviation <= 1e-6
+        assert cert.max_deviation == max(cert.deviations.values())
+
+        only = [1, 3, 8, 20]                    # two holes, two near-folds
+        sub = dataclasses.replace(
+            mixed, point=mixed.point[only],
+            report=mixed.report.take(only),
+            **{f: getattr(mixed, f)[only] for f in
+               ("p", "q", "r") + FieldSample.PARTIAL_NAMES})
+        cert = certify_sample(sub, rel, fam, 0)
+        assert (cert.certified, cert.near_fold, cert.holes) == (0, 2, 2)
+        assert cert.status == "hole"
+        assert cert.max_deviation == 0.0
+        assert certify_sample(sub.lane(1), rel, fam, 0).status == "near-fold"
+        assert certify_sample(sub.lane(0), rel, fam, 0).status == "hole"
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 600])
+    def test_one_solve_per_block(self, n, monkeypatch):
+        fam, s = shock_cloud(n)
+        calls = []
+
+        def counting(rel, points, seed):
+            calls.append(len(points))
+            return solve_on_sheet(rel, points, seed)
+
+        monkeypatch.setattr(fdoracle, "solve_on_sheet", counting)
+        cert = certify_sample(s, fam.relation(0), fam, 0)
+        assert cert.certified == n
+        assert len(calls) == math.ceil(n / 256)
+        assert sum(calls) == 16 * n

@@ -137,3 +137,14 @@ class TestVerifyTheorem:
                              policy=pol)
         assert rep.n_holes == 10
         assert rep.n_admissible == 0
+
+
+def test_superpose_submodule_is_not_shadowed():
+    import types
+
+    import heavenly
+    from heavenly import superpose as imported
+
+    assert isinstance(heavenly.superpose, types.ModuleType)
+    assert imported is heavenly.superpose
+    assert "superpose" not in heavenly.__all__
