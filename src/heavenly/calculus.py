@@ -4,6 +4,9 @@ All first derivatives of (p, q, r) come from the implicit function theorem
 applied to the family's hodograph relation; every formula here is certified
 against the finite-difference oracle in fdoracle.py.
 
+Partials are evaluated with numpy's floating-point warnings off: an infinite
+or nan partial is a value the callers test for, not an error.
+
 Residuals are reported normalized: |value| / (largest constituent term),
 which is the scale-free pass/fail quantity.
 """
@@ -112,6 +115,7 @@ def _sample(point, proot, values, D, source, report) -> FieldSample:
     return FieldSample(point=point, source=source, report=report, **values)
 
 
+@np.errstate(all="ignore")
 def shock_derivatives(sdef, shared, point, proot,
                       source=None, report=None) -> FieldSample:
     """Implicit differentiation of x + S F'(p) + G(p) = 0, S = a+b+d.
@@ -136,11 +140,10 @@ def shock_derivatives(sdef, shared, point, proot,
          + shared.delta.compiled((0,))(z))
 
     D = lanes(S * F2 + G1, len(p))
-    with np.errstate(all="ignore"):
-        p_x = -1.0 / D
-        p_y = -be1 * F1 / D
-        p_z = -de1 * F1 / D
-        p_t = -al1 * F1 / D
+    p_x = -1.0 / D
+    p_y = -be1 * F1 / D
+    p_z = -de1 * F1 / D
+    p_t = -al1 * F1 / D
     return _sample(point, p, dict(
         p=p,
         q=m0 + be1 * F0,
@@ -155,6 +158,7 @@ def shock_derivatives(sdef, shared, point, proot,
         r_t=de1 * F1 * p_t), D, source, report)
 
 
+@np.errstate(all="ignore")
 def general_derivatives(gdef, point, proot,
                         source=None, report=None) -> FieldSample:
     """Implicit differentiation of x + d1Q + d1R + T(p,t) = 0.
@@ -175,11 +179,10 @@ def general_derivatives(gdef, point, proot,
     T2 = gdef.T.compiled((0, 1))(p, t)
 
     D = lanes(Q11 + R11 + T1, len(p))
-    with np.errstate(all="ignore"):
-        p_x = -1.0 / D
-        p_y = -Q12 / D
-        p_z = -R12 / D
-        p_t = -T2 / D
+    p_x = -1.0 / D
+    p_y = -Q12 / D
+    p_z = -R12 / D
+    p_t = -T2 / D
     return _sample(point, p, dict(
         p=p,
         q=Q2,
@@ -263,6 +266,7 @@ def n_term_balance(samples, shared) -> ResidualReport:
                           equation="n_term_balance")
 
 
+@np.errstate(all="ignore")
 def reduced_balance(gdef1, gdef2, shared, point, p1,
                     p2) -> ResidualReport:
     """Balance condition reduced to the general-family arbitrary functions.

@@ -102,17 +102,20 @@ def scrambled_halton(count: int, seed: int, lows, highs) -> np.ndarray:
     Random-permutation scrambling (A. B. Owen, arXiv 1706.02808): digit j
     of the index in base b goes through its own shuffled permutation of
     range(b), for every digit down to 2**-54, leading zeros included.
+    The permutations are shuffled by _PCG64(seed), the stream of the
+    default_rng(seed) that scipy draws them from.
     The digits are accumulated in the order of scipy's
     `qmc.scale(qmc.Halton(d=4, scramble=True, seed=seed).random(count),
     lows, highs)`, which this reproduces bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    stream = _PCG64(seed)
     u = np.empty((count, len(HALTON_BASES)))
     for col, base in enumerate(HALTON_BASES):
-        perms = np.repeat(np.arange(base)[None],
-                          math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = []
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = list(range(base))
+            stream.shuffle(perm)
+            perms.append(np.array(perm))
         index, top = np.arange(count), count - 1
         v = np.zeros(count)
         scale = 1.0 / base      # `scale /= base` below: `*= 1/base` is 1 ulp off
@@ -127,6 +130,86 @@ def scrambled_halton(count: int, seed: int, lows, highs) -> np.ndarray:
         u[:, col] = v
     lows = np.asarray(lows, dtype=float)
     return u * (np.asarray(highs, dtype=float) - lows) + lows
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list:
+    """numpy's SeedSequence(seed).generate_state(8): the 32-bit words of
+    PCG64's initial state and increment, low half of each 64 bits first."""
+    entropy = [seed & _M32]         # little-endian 32-bit words
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        state.append(value ^ value >> 16)
+    return state
+
+
+class _PCG64:
+    """The shuffles of numpy's default_rng(seed), bit for bit, without
+    importing numpy.random.
+
+    The generator is PCG64, the XSL-RR output of a 128-bit LCG (M. E.
+    O'Neill, 2014), seeded through SeedSequence as numpy seeds it.  A 32-bit
+    draw is the low half of a 64-bit output, then its high half.
+    """
+
+    def __init__(self, seed: int):
+        w = _seed_state(seed)
+        state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+        self.inc = (inc << 1 | 1) & _M128
+        self.state = (self.inc + state) * _PCG_MULT + self.inc & _M128
+        self.half = None        # the unread high half of the last output
+
+    def _next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        self.state = self.state * _PCG_MULT + self.inc & _M128
+        x = (self.state >> 64 ^ self.state) & _M64
+        rot = self.state >> 122
+        out = (x >> rot | x << (64 - rot)) & _M64
+        self.half = out >> 32
+        return out & _M32
+
+    def shuffle(self, items: list):
+        """Generator.shuffle of fewer than 2**32 items, in place: Fisher-
+        Yates, each index drawn by masked rejection from 32-bit draws."""
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            items[i], items[j] = items[j], items[i]
 
 
 def _check_count(count: int):

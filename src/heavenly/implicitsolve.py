@@ -19,7 +19,8 @@ brackets and grid zeros are those of evaluating every node.
 from __future__ import annotations
 
 import functools
-import statistics
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,6 +170,24 @@ def lanes(value, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (n,))
 
 
+def median(values) -> float:
+    """np.median of one or more values, bit for bit, without importing
+    numpy.ma.
+
+    The middle value, or the middle pair, is summed from +0.0 (so -0.0
+    gives +0.0) and averaged; any nan makes the median nan.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    n = v.size
+    mid = [(n - 1) // 2, n // 2]
+    # the kth list of np.median: nan sorts last, so part[-1] tells
+    part = np.partition(v, mid + [-1])
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    lo, hi = part[mid].tolist()
+    return (0.0 + lo + hi) / 2 if n % 2 == 0 else 0.0 + lo
+
+
 def _pick(root, first, counts, selection, target) -> np.ndarray:
     """Per group of consecutive ascending roots, the index the rule selects."""
     has = counts > 0
@@ -264,10 +283,10 @@ def _bound(node, cols):
         return a_lo + b_lo, a_hi + b_hi
     if kind == "sub":
         return a_lo - b_hi, a_hi - b_lo
-    if kind == "mul":
-        corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-    else:
-        corners = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
+    # a col leaf is a point (lo is hi): its two corners are all four
+    op = operator.mul if kind == "mul" else operator.truediv
+    corners = [op(a, b) for a in ((a_lo,) if a_lo is a_hi else (a_lo, a_hi))
+               for b in ((b_lo,) if b_lo is b_hi else (b_lo, b_hi))]
     lo = functools.reduce(np.minimum, corners)
     hi = functools.reduce(np.maximum, corners)
     if kind == "div":
@@ -480,7 +499,7 @@ def continue_branch(rel: ImplicitRelation, grid,
         rep = select_root(reports, policy, prev=prev)
         if prev is not None:
             motion = abs(rep.root - prev)
-            if motions and motion > 10.0 * statistics.median(motions):
+            if motions and motion > 10.0 * median(motions):
                 rep = replace(rep, jump=True)
             motions.append(motion)
         out.append(rep)

@@ -23,7 +23,13 @@ from .calculus import (
     n_term_balance,
     pairwise_balance,
 )
-from .implicitsolve import FOLD_TOL, BranchPolicy, as_cloud, enumerate_roots
+from .implicitsolve import (
+    FOLD_TOL,
+    BranchPolicy,
+    as_cloud,
+    enumerate_roots,
+    median,
+)
 
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
@@ -67,7 +73,7 @@ def summarize(values) -> dict:
     if not len(v):
         return {"count": 0, "max": None, "median": None}
     return {"count": int(v.size), "max": float(v.max()),
-            "median": float(np.median(v))}
+            "median": median(v)}
 
 
 @dataclass
@@ -136,7 +142,8 @@ def solve_point(family, points, policy: BranchPolicy):
         hole = pick < 0
         pick = np.where(hole, 0, pick)
         if len(table):
-            hole |= ~table.converged[pick]
+            # a root where dPhi/dp is not finite has no implicit partials
+            hole |= ~table.converged[pick] | ~np.isfinite(table.deriv[pick])
             fold = ~hole & (np.abs(table.deriv[pick]) < FOLD_TOL)
         else:
             fold = np.zeros_like(hole)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,16 @@ class TestGeneralDerivatives:
         assert s.p_x == -1.0
         assert (s.p_y, s.p_z, s.p_t) == (0.0, 0.0, 0.0)
         assert (s.q, s.r) == (0.0, 0.0)
+
+    def test_infinite_partial_raises_no_warning(self):
+        # T = sqrt(p) - 0.3 at p = 0: d1T = 1/(2 sqrt(p)) divides by zero
+        g = GeneralSolutionDef(Q=sf("0", ("p", "y")),
+                               R=sf("0", ("p", "z")),
+                               T=sf("sqrt(p) - 0.3", ("p", "t")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = general_derivatives(g, (0.3, 1.0, 1.0, 1.0), 0.0)
+        assert s.p_x == 0.0 and s.p_t == 0.0
 
 
 class TestPoissonBracket:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from heavenly.cliapp import (
     ScenarioError,
     csv_header,
     load_scenario,
+    _PCG64,
     main,
     scrambled_halton,
 )
@@ -310,14 +312,37 @@ class TestHaltonSampler:
         assert pts.shape == (1000, 4) and pts.dtype == np.float64
         assert (pts >= self.LOWS).all() and (pts < self.HIGHS).all()
 
-    def test_import_loads_no_scipy(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 17,
+                                      10**30, 2**200 + 5])
+    def test_stream_matches_numpy_shuffle(self, seed):
+        rng = np.random.default_rng(seed)
+        stream = _PCG64(seed)
+        for base in range(2, 8):
+            for _ in range(40):
+                ref = np.arange(base)
+                rng.shuffle(ref)
+                got = list(range(base))
+                stream.shuffle(got)
+                assert got == ref.tolist(), (seed, base)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        # every command on a shipped scenario, then the modules it loaded
         src = str(Path(heavenly.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, heavenly.cliapp; print(sorted(m for m in "
-                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        code = (
+            "import sys\n"
+            "from heavenly.cliapp import main\n"
+            "for command in ('verify', 'balance', 'sample', 'fdcheck'):\n"
+            f"    main([command, {scenario_path('general_balanced')!r}, "
+            "'--out', 'case.csv'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'statistics') or m.split('.')[:2] in "
+            "(['numpy', 'random'], ['numpy', 'ma'])))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+                             cwd=tmp_path, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "case.csv").exists()
 
 
 def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):
@@ -338,3 +363,28 @@ def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):
     result = json.loads(Path("case.report.json").read_text())["result"]
     assert (result["certified"], result["near_fold"], result["holes"]) == \
         (1, 1, 0)
+
+
+def test_infinite_root_derivative_is_a_hole(tmp_path, monkeypatch):
+    # Phi = x + sqrt(p) - 0.3: at x = 0.3 the root p = 0 is a grid node
+    # where dPhi/dp = 1/(2 sqrt(p)) is infinite; at x = 0.1 it is p = 0.04
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, {
+        "family": "general",
+        "shared": {"alpha": "t", "beta": "y", "delta": "z"},
+        "seeds": [{"Q": "0", "R": "0", "T": "sqrt(p) - 0.3"}],
+        "coefficients": [1.0],
+        "sampling": {"points": [[0.3, 1.0, 1.0, 1.0], [0.1, 1.0, 1.0, 1.0]]},
+        "branch": {"p_lo": -1.0, "p_hi": 1.0, "resolution": 1025},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", path]) == 0
+        report = json.loads(Path("case.report.json").read_text())["report"]
+        assert (report["n_admissible"], report["n_holes"]) == (1, 1)
+        assert main(["sample", path, "--out", "case.csv"]) == 0
+        rows = Path("case.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["hole", "ok"]
+        assert main(["fdcheck", path]) == 0
+        result = json.loads(Path("case.report.json").read_text())["result"]
+        assert (result["certified"], result["holes"]) == (1, 1)

@@ -8,6 +8,7 @@ from heavenly.implicitsolve import (
     SolveError,
     continue_branch,
     enumerate_roots,
+    median,
     select_root,
     shock_relation,
     solve_on_sheet,
@@ -178,6 +179,30 @@ class TestSelectRoot:
         r = select_root(self.reports, BranchPolicy(selection=1))
         assert r.root == pytest.approx(0.0, abs=1e-10)
         assert select_root(self.reports, BranchPolicy(selection=5)) is None
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values", [
+    [0.5], [-0.0], [0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0],
+    [-0.0, 1.0, -0.0, 2.0], [3.0, -1.0, 2.0], [2.0, 2.0, 1.0, 2.0],
+    [1.0, _NAN], [_NAN], [_NAN, 1.0, 2.0], [-_NAN, 0.0], [_INF, -_INF],
+    [_INF], [-_INF, -_INF, 1.0], [1.0, _INF, 2.0, _INF], [1e308, 1e308],
+    [-5e-324, 5e-324], [0.1, 0.2, 0.7, 0.3]])
+def test_median_matches_numpy_bit_for_bit(values):
+    v = np.array(values)
+    with np.errstate(all="ignore"):
+        ref = np.median(v)
+    assert np.float64(median(v)).tobytes() == ref.tobytes()
+
+
+def test_median_matches_numpy_on_random_ties():
+    rng = np.random.default_rng(5)
+    for n in range(1, 40):
+        v = rng.integers(-3, 4, n) * rng.choice([0.5, -0.0, 0.25], n)
+        assert np.float64(median(v)).tobytes() == np.median(v).tobytes(), v
+        assert median(v.tolist()) == median(v)
 
 
 class TestContinueBranch:
