@@ -26,7 +26,7 @@ from .superpose import (
     HOLE,
     OK,
     STATUS,
-    solve_point,
+    solve_chunks,
     summarize,
     superpose,
     verify_theorem,
@@ -240,6 +240,14 @@ def _number(value, where: str) -> float:
     raise ScenarioError(f"{where} must be a finite number, not {value!r}")
 
 
+def _tolerance(value, where: str) -> float:
+    """A tolerance: a finite number, as _number reads it, not below 0."""
+    number = _number(value, where)
+    if number < 0.0:
+        raise ScenarioError(f"{where} must not be negative, not {value!r}")
+    return number
+
+
 def _integer(value, where: str) -> int:
     # bool is an int subclass; a float such as 2.5 is refused, not truncated
     if type(value) is not int:
@@ -383,7 +391,7 @@ def load_scenario(path) -> Scenario:
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_raw = raw.get("tolerances", {})
     _require_keys(tol_raw, tuple(DEFAULT_TOLERANCES), (), "tolerances")
-    tolerances.update({k: _number(v, f"tolerances.{k}")
+    tolerances.update({k: _tolerance(v, f"tolerances.{k}")
                        for k, v in tol_raw.items()})
 
     expect = raw.get("expect", "satisfy")
@@ -420,15 +428,29 @@ def _write_report(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
+def _tolerances(scenario: Scenario, args) -> dict:
+    """The scenario's tolerances, with --tol as the residual bound."""
     tol = dict(scenario.tolerances)
     if args.tol is not None:
         tol["residual"] = args.tol
+    return tol
+
+
+def _verdict(failures: list, payload: dict) -> tuple[int, dict]:
+    """Print the verdict line; the exit code and the completed payload."""
+    print("verdict: " + ("FAIL: " + "; ".join(failures) if failures
+                         else "PASS"))
+    return (1 if failures else 0), dict(payload, failures=failures,
+                                        passed=not failures)
+
+
+def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
+    family = scenario.build_family()
+    points = scenario.points(count=args.points, seed=args.seed)
+    tol = _tolerances(scenario, args)
     report = verify_theorem(family, scenario.coefficients, points,
-                                      policy=scenario.policy,
-                                      threshold=tol["residual"])
+                            policy=scenario.policy,
+                            threshold=tol["residual"])
     ch = report.checks
     failures = []
     if report.n_admissible == 0:
@@ -457,15 +479,10 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
         print(f"  {name:<20} max {_fmt(st['max'])}  median {_fmt(st['median'])}")
     print(f"  superposed pass fraction: {report.pass_fraction:.4f} "
           f"(threshold {tol['residual']:.1e})")
-    verdict = "PASS" if not failures else "FAIL: " + "; ".join(failures)
-    print(f"verdict: {verdict}")
-
-    payload = {"schema_version": REPORT_SCHEMA_VERSION,
-               "command": "verify", "scenario": scenario.name,
-               "expect": scenario.expect, "tolerances": tol,
-               "report": report.to_dict(),
-               "failures": failures, "passed": not failures}
-    return (0 if not failures else 1), payload
+    return _verdict(failures, {
+        "schema_version": REPORT_SCHEMA_VERSION, "command": "verify",
+        "scenario": scenario.name, "expect": scenario.expect,
+        "tolerances": tol, "report": report.to_dict()})
 
 
 def csv_header(n_seeds: int) -> list:
@@ -479,15 +496,10 @@ def csv_header(n_seeds: int) -> list:
     return cols
 
 
-def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
-    out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
-    shared = family.shared
-
-    cloud, _failure = solve_point(family, points, scenario.policy)
-    samples = cloud.samples
-    sup = superpose(samples, scenario.coefficients)
+def _csv_rows(family, coeffs, cloud, first: int):
+    """The CSV lines of one solved slice whose first point is row first."""
+    samples, shared = cloud.samples, family.shared
+    sup = superpose(samples, coeffs)
     compat = calculus.compat_residuals(sup)
     columns = [getattr(s, name) for s in samples + [sup]
                for name in calculus.FIELD_NAMES]
@@ -495,21 +507,32 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
                 for s in samples + [sup]]
     columns += [compat[0].normalized, compat[1].normalized,
                 calculus.n_term_balance(samples, shared).normalized]
-    values = np.column_stack(columns).tolist()
-    nan = ["nan"] * (len(csv_header(family.size)) - 6)
+    admissible = iter(np.column_stack(columns).tolist())
+    nan = ["nan"] * len(columns)
 
     def g(v):
         return f"{v:.17g}"
 
-    rows = [",".join(csv_header(family.size))]
-    admissible = iter(values)
     for idx, (point, status) in enumerate(zip(cloud.points.tolist(),
-                                              cloud.status.tolist())):
+                                              cloud.status.tolist()), first):
         cells = [str(idx), STATUS[status]] + [g(v) for v in point]
         cells += [g(v) for v in next(admissible)] if status == OK else nan
-        rows.append(",".join(cells))
-    out.write_text("\n".join(rows) + "\n")
-    n_ok = len(cloud.admissible)
+        yield ",".join(cells) + "\n"
+
+
+def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
+    family = scenario.build_family()
+    points = scenario.points(count=args.points, seed=args.seed)
+    out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
+
+    n_rows = n_ok = 0
+    with out.open("w") as csv:
+        csv.write(",".join(csv_header(family.size)) + "\n")
+        for cloud, _failure in solve_chunks(family, points, scenario.policy):
+            csv.writelines(_csv_rows(family, scenario.coefficients, cloud,
+                                     n_rows))
+            n_rows += len(cloud.points)
+            n_ok += len(cloud.admissible)
     print(f"wrote {out} ({len(points)} points, {n_ok} admissible)")
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": "sample",
                "scenario": scenario.name, "csv": str(out),
@@ -520,28 +543,29 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
 def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     family = scenario.build_family()
     points = scenario.points(count=args.points, seed=args.seed)
-    tol = dict(scenario.tolerances)
-    if args.tol is not None:
-        tol["residual"] = args.tol
+    tol = _tolerances(scenario, args)
 
-    cloud, _failure = solve_point(family, points, scenario.policy)
-    samples, shared = cloud.samples, family.shared
-    admissible_points = cloud.points[cloud.admissible]
-    pairwise, reduced = [], []
-    for i in range(family.size):
-        for j in range(i + 1, family.size):
-            pairwise.append(calculus.pairwise_balance(
-                samples[i], samples[j], shared).normalized)
-            if family.kind == "general":
-                reduced.append(calculus.reduced_balance(
-                    family.defs[i], family.defs[j], shared,
-                    admissible_points, samples[i].p,
-                    samples[j].p).normalized)
-    nterm = calculus.n_term_balance(samples, shared).normalized
-    n_admissible = len(cloud.admissible)
+    shared = family.shared
+    parts = {"pairwise": [], "n_term": [], "reduced": []}
+    n_admissible = 0
+    for cloud, _failure in solve_chunks(family, points, scenario.policy):
+        samples = cloud.samples
+        admissible_points = cloud.points[cloud.admissible]
+        for i in range(family.size):
+            for j in range(i + 1, family.size):
+                parts["pairwise"].append(calculus.pairwise_balance(
+                    samples[i], samples[j], shared).normalized)
+                if family.kind == "general":
+                    parts["reduced"].append(calculus.reduced_balance(
+                        family.defs[i], family.defs[j], shared,
+                        admissible_points, samples[i].p,
+                        samples[j].p).normalized)
+        parts["n_term"].append(
+            calculus.n_term_balance(samples, shared).normalized)
+        n_admissible += len(cloud.admissible)
 
-    result = {"pairwise": summarize(pairwise), "n_term": summarize([nterm]),
-              "reduced": summarize(reduced), "admissible": n_admissible}
+    result = {name: summarize(values) for name, values in parts.items()}
+    result["admissible"] = n_admissible
 
     failures = []
     if n_admissible == 0:
@@ -563,14 +587,10 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
         st = result[name]
         print(f"  {name:<10} count {st['count']:<6} max {_fmt(st['max'])}  "
               f"median {_fmt(st['median'])}")
-    verdict = "PASS" if not failures else "FAIL: " + "; ".join(failures)
-    print(f"verdict: {verdict}")
-
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": "balance",
-               "scenario": scenario.name, "expect": scenario.expect,
-               "result": result, "failures": failures,
-               "passed": not failures}
-    return (0 if not failures else 1), payload
+    return _verdict(failures, {
+        "schema_version": REPORT_SCHEMA_VERSION, "command": "balance",
+        "scenario": scenario.name, "expect": scenario.expect,
+        "result": result})
 
 
 def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
@@ -580,38 +600,36 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     points = scenario.points(count=count, seed=args.seed)
     tol = args.tol if args.tol is not None else scenario.tolerances["fd"]
 
-    cloud, _failure = solve_point(family, points, scenario.policy)
-    # a solve-stage fold is |D| < FOLD_TOL: the near-fold rule itself
-    n_hole, n_near_fold = cloud.count(HOLE), cloud.count(FOLD)
+    n_ok = n_hole = n_near_fold = 0
     max_dev = 0.0
-    n_ok = 0
-    for i, s in enumerate(cloud.samples):
-        cert = fdoracle.certify_sample(s, family.relation(i), family, i)
-        n_ok += cert.certified
-        n_near_fold += cert.near_fold
-        n_hole += cert.holes
-        max_dev = max(max_dev, cert.max_deviation)
+    for cloud, _failure in solve_chunks(family, points, scenario.policy):
+        # a solve-stage fold is |D| < FOLD_TOL: the near-fold rule itself
+        n_hole += cloud.count(HOLE)
+        n_near_fold += cloud.count(FOLD)
+        for i, s in enumerate(cloud.samples):
+            cert = fdoracle.certify_sample(s, family.relation(i), family, i)
+            n_ok += cert.certified
+            n_near_fold += cert.near_fold
+            n_hole += cert.holes
+            # a nan deviation is kept, whichever slice it is in
+            max_dev = float(np.maximum(max_dev, cert.max_deviation))
 
     failures = []
     if n_ok == 0:
         failures.append("no certifiable samples")
-    elif max_dev > tol:
+    elif not max_dev <= tol:
         failures.append("finite-difference deviation above tolerance")
 
     print(f"scenario: {scenario.name}")
     print(f"certified: {n_ok}  near-fold skipped: {n_near_fold}  "
           f"holes: {n_hole}")
     print(f"max deviation: {_fmt(max_dev)} (tolerance {tol:.1e})")
-    verdict = "PASS" if not failures else "FAIL: " + "; ".join(failures)
-    print(f"verdict: {verdict}")
-
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": "fdcheck",
-               "scenario": scenario.name,
-               "result": {"certified": n_ok, "near_fold": n_near_fold,
-                          "holes": n_hole, "max_deviation": max_dev,
-                          "tolerance": tol},
-               "failures": failures, "passed": not failures}
-    return (0 if not failures else 1), payload
+    return _verdict(failures, {
+        "schema_version": REPORT_SCHEMA_VERSION, "command": "fdcheck",
+        "scenario": scenario.name,
+        "result": {"certified": n_ok, "near_fold": n_near_fold,
+                   "holes": n_hole, "max_deviation": max_dev,
+                   "tolerance": tol}})
 
 
 _COMMANDS = {"verify": cmd_verify, "sample": cmd_sample,
@@ -633,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sampling seed")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the main residual tolerance")
+                        help="override the main residual tolerance (a "
+                             "finite number, not below 0)")
     parser.add_argument("--report", default=None,
                         help="path for the JSON report (default: "
                              "<scenario>.report.json next to the cwd)")
@@ -645,6 +664,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _check_seed(args.seed, "--seed")
+        if args.tol is not None:
+            _tolerance(args.tol, "--tol")
         scenario = load_scenario(args.scenario)
         code, payload = _COMMANDS[args.command](scenario, args)
     except (ScenarioError, ExprError, FamilyError) as exc:

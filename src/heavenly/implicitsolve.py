@@ -175,13 +175,14 @@ def median(values) -> float:
     numpy.ma.
 
     The middle value, or the middle pair, is summed from +0.0 (so -0.0
-    gives +0.0) and averaged; any nan makes the median nan.
+    gives +0.0) and averaged; any nan makes the median nan.  A contiguous
+    float64 array is partitioned in place, not copied.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
+    part = np.asarray(values, dtype=float).ravel()
+    n = part.size
     mid = [(n - 1) // 2, n // 2]
     # the kth list of np.median: nan sorts last, so part[-1] tells
-    part = np.partition(v, mid + [-1])
+    part.partition(mid + [-1])
     if math.isnan(part[-1]):
         return float(part[-1])
     lo, hi = part[mid].tolist()
@@ -387,15 +388,19 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
 
     A lane whose Phi is not finite at an iterate ends unconverged: the
     bracket's sign information is lost there, so the root is a hole.
+    A lane keeps the Phi of the iterate it stopped at; only lanes that run
+    out of iterations evaluate Phi once more, at their last step.
     """
     n = len(owner)
     cols = pts[owner].T
     tol = TOL_ABS + TOL_REL * np.abs(cols[0])
     lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
     p = 0.5 * (lo + hi)
+    phi = np.empty(n)
     iterations = np.zeros(n, dtype=np.int32)
     converged = np.zeros(n, dtype=bool)
     act = np.arange(n)
+    capped = [act[:0]]
     while act.size:
         iterations[act] += 1
         pa = p[act]
@@ -405,6 +410,7 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
         hit = finite & (np.abs(f) <= tol[act])
         converged[act[hit]] = True
         keep = finite & ~hit
+        phi[act[~keep]] = f[~keep]
         act, pa, ca, f = act[keep], pa[keep], ca[:, keep], f[keep]
         # maintain the bracket
         right = f * flo[act] < 0.0
@@ -421,10 +427,16 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
             done = act[collapsed]
             fc = lanes(rel.phi(pa[collapsed], *ca[:, collapsed]), done.size)
             converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[done])
-        act = act[~collapsed & (iterations[act] < MAX_NEWTON_ITER)]
-    f = lanes(rel.phi(p, *cols), n)
+            phi[done] = fc
+        act = act[~collapsed]
+        more = iterations[act] < MAX_NEWTON_ITER
+        capped.append(act[~more])
+        act = act[more]
+    last = np.concatenate(capped)
+    if last.size:
+        phi[last] = lanes(rel.phi(p[last], *cols[:, last]), last.size)
     d = lanes(rel.dphi(p, *cols), n)
-    return p, np.abs(f), d, iterations, converged
+    return p, np.abs(phi), d, iterations, converged
 
 
 def enumerate_roots(rel: ImplicitRelation, points,

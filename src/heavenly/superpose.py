@@ -25,6 +25,7 @@ from .calculus import (
 )
 from .implicitsolve import (
     FOLD_TOL,
+    SCAN_BUDGET,
     BranchPolicy,
     as_cloud,
     enumerate_roots,
@@ -33,6 +34,10 @@ from .implicitsolve import (
 
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
+# Cloud rows solved at a time: 16 scan blocks of 256 rows, and the 4 096
+# lanes of one fdoracle solve.  Every per-point result is computed row by
+# row, so no result depends on it.
+CLOUD_CHUNK = SCAN_BUDGET // 16
 
 
 class SuperposeError(ValueError):
@@ -68,7 +73,10 @@ def superpose(samples, coeffs) -> FieldSample:
 
 
 def summarize(values) -> dict:
-    """count, max and median over a list of scalars or lane arrays."""
+    """count, max and median over a list of scalars or lane arrays.
+
+    The values are concatenated once; the median partitions that copy.
+    """
     v = np.concatenate([np.ravel(a) for a in values]) if values else ()
     if not len(v):
         return {"count": 0, "max": None, "median": None}
@@ -169,6 +177,19 @@ def solve_point(family, points, policy: BranchPolicy):
     return [s.lane(0) for s in samples], None
 
 
+def solve_chunks(family, points, policy: BranchPolicy):
+    """solve_point over consecutive slices of CLOUD_CHUNK rows of a cloud.
+
+    Yields solve_point's (CloudSolution, failure) for each slice in cloud
+    order.  A caller reduces a slice to what it keeps before the next one
+    is solved, so memory is set by the slice and not by the cloud.  An
+    empty cloud is one empty slice.
+    """
+    pts = as_cloud(points)
+    for start in range(0, max(len(pts), 1), CLOUD_CHUNK):
+        yield solve_point(family, pts[start:start + CLOUD_CHUNK], policy)
+
+
 def quadratic_identity_residual(super_rep, seed_reps, cross_reps, coeffs):
     """Normalized defect of the bilinear expansion of the superposed residual."""
     expected = 0.0
@@ -182,44 +203,61 @@ def quadratic_identity_residual(super_rep, seed_reps, cross_reps, coeffs):
     return abs(super_rep.value - expected) / (scale + NORM_GUARD)
 
 
+def _theorem_checks(samples, shared, coeffs) -> dict:
+    """Each check's normalised residuals on the admissible points of one
+    solved slice, one array per check."""
+    seed_reps = [ghe_residual(s, shared) for s in samples]
+    bal = n_term_balance(samples, shared)
+    sup = superpose(samples, coeffs)
+    sup_rep = ghe_residual(sup, shared)
+    cross = {(i, j): pairwise_balance(samples[i], samples[j], shared)
+             for i in range(len(samples))
+             for j in range(i + 1, len(samples))}
+    checks = {
+        "seed_ghe": [r.normalized for r in seed_reps],
+        "seed_compat": [c.normalized for s in samples
+                        for c in compat_residuals(s)],
+        "superposed_ghe": [sup_rep.normalized],
+        "superposed_compat": [c.normalized for c in compat_residuals(sup)],
+        "n_term_balance": [bal.normalized],
+        "quadratic_identity": [quadratic_identity_residual(
+            sup_rep, seed_reps, cross, coeffs)],
+    }
+    return {name: np.concatenate([np.ravel(a) for a in values])
+            for name, values in checks.items()}
+
+
 def verify_theorem(family, coeffs, points,
                    policy: BranchPolicy = BranchPolicy(),
                    threshold: float = 1e-9) -> TheoremReport:
-    """Run the full verification over a point cloud."""
+    """Run the full verification over a point cloud, one slice at a time.
+
+    Each slice keeps only its checks' normalised residuals and its counts;
+    count, max and median do not depend on the order of the values.
+    """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != family.size:
         raise SuperposeError("one coefficient per seed required")
     SuperpositionSpec(tuple(coeffs))
 
-    cloud, _failure = solve_point(family, as_cloud(points), policy)
-    samples, shared = cloud.samples, family.shared
-    seed_reps = [ghe_residual(s, shared) for s in samples]
-    seed_compat = [c.normalized for s in samples
-                   for c in compat_residuals(s)]
-    bal = n_term_balance(samples, shared)
-    sup = superpose(samples, coeffs)
-    sup_rep = ghe_residual(sup, shared)
-    sup_compat = [c.normalized for c in compat_residuals(sup)]
-    del sup
-    cross = {(i, j): pairwise_balance(samples[i], samples[j], shared)
-             for i in range(len(samples))
-             for j in range(i + 1, len(samples))}
-    checks = {
-        "seed_ghe": summarize([r.normalized for r in seed_reps]),
-        "seed_compat": summarize(seed_compat),
-        "superposed_ghe": summarize([sup_rep.normalized]),
-        "superposed_compat": summarize(sup_compat),
-        "n_term_balance": summarize([bal.normalized]),
-        "quadratic_identity": summarize([quadratic_identity_residual(
-            sup_rep, seed_reps, cross, coeffs)]),
-    }
-    n_admissible = len(cloud.admissible)
-    n_pass = int(np.count_nonzero(sup_rep.normalized <= threshold))
+    checks = {}
+    n_points = n_admissible = n_holes = n_folds = n_pass = 0
+    for cloud, _failure in solve_chunks(family, points, policy):
+        part = _theorem_checks(cloud.samples, family.shared, coeffs)
+        for name, values in part.items():
+            checks.setdefault(name, []).append(values)
+        n_pass += int(np.count_nonzero(part["superposed_ghe"] <= threshold))
+        n_points += len(cloud.points)
+        n_admissible += len(cloud.admissible)
+        n_holes += cloud.count(HOLE)
+        n_folds += cloud.count(FOLD)
+    for name in checks:
+        checks[name] = summarize(checks[name])
     return TheoremReport(
-        n_points=len(cloud.points),
+        n_points=n_points,
         n_admissible=n_admissible,
-        n_holes=cloud.count(HOLE),
-        n_folds=cloud.count(FOLD),
+        n_holes=n_holes,
+        n_folds=n_folds,
         checks=checks,
         pass_fraction=(n_pass / n_admissible) if n_admissible else 0.0,
         threshold=threshold)

@@ -1,0 +1,116 @@
+"""Results do not depend on how a cloud is cut into solved slices.
+
+Every command runs with superpose.CLOUD_CHUNK set to 7 rows (slices that
+cut through runs of holes and folds), to 256 rows (one scan block) and to
+more rows than the cloud; exit codes, stdout, reports and CSVs must be the
+same bytes.  The slices of the golden hole and fold clouds must also add
+up to the whole-cloud solve: statuses, failed seeds, samples and the first
+failure.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heavenly import superpose
+from heavenly.calculus import FIELD_NAMES
+from heavenly.cliapp import MAX_POINTS, main
+from test_golden import CASES, build
+
+ROOT = Path(__file__).resolve().parent.parent
+CHUNKS = (7, 256, MAX_POINTS)
+GOLDEN = {case["name"]: case for case in CASES}
+
+
+def _shipped(name):
+    return json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+
+
+def _holes():
+    # shock_n2 scanned on [-0.2, 0.2]: 42 of the 200 points have no root
+    raw = _shipped("shock_n2")
+    raw["branch"] = {"p_lo": -0.2, "p_hi": 0.2, "resolution": 64}
+    raw["sampling"] = {"points": GOLDEN["holes_narrow_scan"]["points"]}
+    return raw
+
+
+def _folds():
+    # x + p^3 - p across its fold: 100 holes, 14 folds, 86 admissible
+    return {
+        "family": "general",
+        "shared": {"alpha": "t", "beta": "y", "delta": "z"},
+        "seeds": [{"Q": "0", "R": "0", "T": "p^3 - p"}],
+        "coefficients": [1.0],
+        "sampling": {"points": GOLDEN["folds_cubic"]["points"]},
+        "branch": {"p_lo": -1.0, "p_hi": 0.0, "resolution": 16384},
+    }
+
+
+SCENARIOS = {
+    "shock_n3": lambda: _shipped("shock_n3"),
+    "general_balanced": lambda: _shipped("general_balanced"),
+    "general_unbalanced": lambda: _shipped("general_unbalanced"),
+    "holes": _holes,
+    "folds": _folds,
+}
+
+
+def _run(command, path, chunk, tmp_path, monkeypatch, capsys):
+    """Exit code, stdout, report and CSV bytes of one command."""
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", chunk)
+    report, csv = tmp_path / "report.json", tmp_path / "sample.csv"
+    code = main([command, path, "--points", "300", "--seed", "3",
+                 "--report", str(report), "--out", str(csv)])
+    return (code, capsys.readouterr().out, report.read_bytes(),
+            csv.read_bytes() if command == "sample" else None)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("command", ["verify", "balance", "fdcheck",
+                                     "sample"])
+def test_outputs_do_not_depend_on_the_chunk(command, name, tmp_path,
+                                            monkeypatch, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SCENARIOS[name]()))
+    runs = [_run(command, str(path), chunk, tmp_path, monkeypatch, capsys)
+            for chunk in CHUNKS]
+    assert runs[0][0] in (0, 1)
+    assert runs[1:] == runs[:1] * (len(CHUNKS) - 1)
+
+
+@pytest.mark.parametrize("name", ["holes_narrow_scan", "folds_cubic"])
+def test_slices_add_up_to_the_whole_cloud(name, monkeypatch):
+    family, _coeffs, policy = build(GOLDEN[name])
+    pts = np.array(GOLDEN[name]["points"])
+    whole, failure = superpose.solve_point(family, pts, policy)
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", 7)
+    slices = list(superpose.solve_chunks(family, pts, policy))
+
+    assert [len(c.points) for c, _ in slices] == \
+        [len(part) for part in np.array_split(pts, range(7, len(pts), 7))]
+    # runs of holes and folds cross slice boundaries
+    assert sum(len(set(c.status.tolist())) > 1 for c, _ in slices) > 1
+    for attr in ("status", "failed_seed"):
+        got = np.concatenate([getattr(c, attr) for c, _ in slices])
+        assert np.array_equal(got, getattr(whole, attr))
+    for i, sample in enumerate(whole.samples):
+        for field in FIELD_NAMES:
+            got = np.concatenate([getattr(c.samples[i], field)
+                                  for c, _ in slices])
+            assert got.tobytes() == getattr(sample, field).tobytes()
+    assert failure is not None
+    assert next(f for _, f in slices if f is not None) == failure
+    for status in (superpose.HOLE, superpose.FOLD):
+        assert sum(c.count(status) for c, _ in slices) == whole.count(status)
+
+
+def test_an_empty_cloud_is_one_empty_slice():
+    family, coeffs, policy = build(GOLDEN["shock_n3"])
+    slices = list(superpose.solve_chunks(family, np.zeros((0, 4)), policy))
+    assert [len(c.points) for c, _ in slices] == [0]
+    report = superpose.verify_theorem(family, coeffs, np.zeros((0, 4)),
+                                      policy=policy)
+    assert report.n_points == 0
+    assert all(check["count"] == 0 for check in report.checks.values())

@@ -214,6 +214,29 @@ class TestInputBounds:
         assert "exceeds the bound" in capsys.readouterr().err
 
 
+class TestToleranceOption:
+    """--tol is a finite number, not below 0: nan or inf would turn every
+    comparison against it into a pass."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "balance", "fdcheck"])
+    def test_exit_2(self, command, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, scenario_path("shock_n3"), "--points", "20",
+                     f"--tol={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "--tol must" in err and "Traceback" not in err
+        assert not Path("shock_n3.report.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "balance", "fdcheck"])
+    def test_tight_tolerance_fails(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, scenario_path("shock_n3"), "--points", "20",
+                     "--tol", "1e-20"]) == 1
+        assert main([command, scenario_path("shock_n3"), "--points", "20",
+                     "--tol", "0"]) == 1
+
+
 class TestSamplingSeed:
     """A seed numpy cannot take is a configuration error, not a crash."""
 
@@ -264,6 +287,7 @@ class TestMalformedValues:
         *(({"seeds": [dict(BASE["seeds"][0], G=g)]}, "not finite")
           for g in ("p + 1/0", "p + 0/0", "p + 1/(1-1)", "p + 1e308*10",
                     "p + 10^400")),
+        ({"tolerances": {"fd": -1e-6}}, "tolerances.fd must not be negative"),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,19 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _families import quadratic_shock_def, sf, simple_shared
+from heavenly.cliapp import load_scenario, scrambled_halton
 from heavenly.implicitsolve import (
     BranchPolicy,
     ImplicitRelation,
     SolveError,
     continue_branch,
     enumerate_roots,
+    general_relation,
+    lanes,
     median,
     select_root,
     shock_relation,
     solve_on_sheet,
 )
-from heavenly.registry import ShockSolutionDef, SharedProfile
+from heavenly.registry import GeneralSolutionDef, ShockSolutionDef, \
+    SharedProfile
 
 
 def affine_relation():
@@ -159,6 +165,43 @@ class TestCloudBatch:
         assert abs(stuck.root) < 0.01
         assert clean.converged
         assert clean.root == pytest.approx(-0.47, abs=1e-12)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("shock_n2", "shock_n3", "general_balanced", "general_unbalanced",
+           "trivial_overlap")
+# (Q, R, T) of general relations whose Phi holds calls and powers
+CALL_RELATIONS = (
+    ("0", "0", "sin(3*p) + p/2 - t/4"),
+    ("y*exp(p/2)", "0", "p - 1"),
+    ("0", "z*p^2/2", "log(p + 11) - 2"),
+    ("0", "0", "tanh(4*p)*t - p/3"),
+    ("0", "0", "p^t - 2"),
+)
+
+
+def _shipped_relations():
+    for name in SHIPPED:
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        family = sc.build_family()
+        for i in range(family.size):
+            yield f"{name}[{i}]", family.relation(i), sc.policy
+
+
+@pytest.mark.parametrize("name, rel, policy", [
+    *_shipped_relations(),
+    *((t, general_relation(GeneralSolutionDef(
+        Q=sf(q, ("p", "y")), R=sf(r, ("p", "z")), T=sf(t, ("p", "t")))),
+       BranchPolicy()) for q, r, t in CALL_RELATIONS)])
+def test_residual_is_phi_at_the_root(name, rel, policy):
+    # Newton keeps the Phi of each lane's last iterate: |Phi(root)| exactly
+    pts = scrambled_halton(500, 3, (-1.0, 0.5, 0.5, 0.5), (1.0, 1.5, 1.5, 1.5))
+    table = enumerate_roots(rel, pts, policy)
+    assert len(table), name
+    with np.errstate(all="ignore"):
+        phi = lanes(rel.phi(table.root, *table.points[table.owner].T),
+                    len(table))
+    assert np.abs(phi).tobytes() == table.residual.tobytes(), name
 
 
 class TestSelectRoot:
