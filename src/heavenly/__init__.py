@@ -9,17 +9,15 @@ from .calculus import (
     ghe_residual,
     n_term_balance,
     pairwise_balance,
-    poisson_bracket,
     reduced_balance,
     shock_derivatives,
 )
 from .exprdsl import Expr, SmoothFn, differentiate, evaluate, parse
-from .fdoracle import certify_sample, fd_partial
+from .fdoracle import certify_sample
 from .implicitsolve import (
     BranchPolicy,
     ImplicitRelation,
     RootReport,
-    continue_branch,
     enumerate_roots,
 )
 from .registry import (
@@ -36,8 +34,7 @@ __all__ = [
     "ImplicitRelation", "ResidualReport", "RootReport", "SharedProfile",
     "ShockSolutionDef", "SmoothFn", "build_general_family",
     "build_shock_family", "certify_sample", "compat_residuals",
-    "continue_branch", "differentiate", "enumerate_roots", "evaluate",
-    "fd_partial", "general_derivatives", "ghe_residual", "n_term_balance",
-    "pairwise_balance", "parse", "poisson_bracket", "reduced_balance",
-    "shock_derivatives", "verify_theorem",
+    "differentiate", "enumerate_roots", "evaluate", "general_derivatives",
+    "ghe_residual", "n_term_balance", "pairwise_balance", "parse",
+    "reduced_balance", "shock_derivatives", "verify_theorem",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form field derivatives, Poisson brackets and residuals.
+"""Closed-form field derivatives and residuals over point clouds.
 
 All first derivatives of (p, q, r) come from the implicit function theorem
 applied to the family's hodograph relation; every formula here is certified
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .implicitsolve import EPS_DEGENERATE, cloud_lanes, lanes
+from .implicitsolve import EPS_DEGENERATE, as_cloud, cloud_lanes, lanes
 
 NORM_GUARD = 1e-300
 
@@ -25,76 +25,55 @@ NORM_GUARD = 1e-300
 class DegenerateSampleError(RuntimeError):
     """Relation derivative D below threshold: fold, no valid derivatives."""
 
-    def __init__(self, deriv: float):
-        super().__init__(f"degenerate relation derivative |D|={abs(deriv):.3e}")
-        self.deriv = deriv
-        self.degenerate = True
-
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Values and first partials of (p, q, r) at one point or a cloud.
+    """Values and first partials of (p, q, r) over a cloud.
 
-    For a cloud every field is an array with one lane per point, point is
-    the (N, 4) array and report the RootTable of the chosen roots.
+    Every field is an array with one lane per point, point is the (N, 4)
+    cloud and report the RootTable of the chosen roots.
     """
 
-    p: float
-    q: float
-    r: float
-    p_x: float
-    p_y: float
-    p_z: float
-    p_t: float
-    q_x: float
-    q_y: float
-    q_t: float
-    r_x: float
-    r_y: float
-    r_z: float
-    r_t: float
-    point: tuple = ()
-    source: object = None
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    p_x: np.ndarray
+    p_y: np.ndarray
+    p_z: np.ndarray
+    p_t: np.ndarray
+    q_x: np.ndarray
+    q_y: np.ndarray
+    q_t: np.ndarray
+    r_x: np.ndarray
+    r_y: np.ndarray
+    r_z: np.ndarray
+    r_t: np.ndarray
+    point: np.ndarray = None
     report: object = None
-
-    def grad(self, which: str) -> dict:
-        """Partials of one field keyed by axis, for Poisson brackets."""
-        if which == "p":
-            return {"x": self.p_x, "y": self.p_y, "z": self.p_z,
-                    "t": self.p_t}
-        if which == "q":
-            return {"x": self.q_x, "y": self.q_y, "t": self.q_t}
-        if which == "r":
-            return {"x": self.r_x, "y": self.r_y, "z": self.r_z,
-                    "t": self.r_t}
-        raise KeyError(which)
 
     PARTIAL_NAMES = ("p_x", "p_y", "p_z", "p_t",
                      "q_x", "q_y", "q_t",
                      "r_x", "r_y", "r_z", "r_t")
 
     def lane(self, k: int) -> "FieldSample":
-        """The one-point sample at lane k of a cloud sample."""
-        vals = {name: float(getattr(self, name)[k])
-                for name in FIELD_NAMES}
-        report = None if self.report is None else self.report[k]
-        return FieldSample(point=tuple(self.point[k].tolist()),
-                           source=self.source, report=report, **vals)
+        """The one-row cloud sample at lane k."""
+        rows = slice(k, k + 1)
+        report = None if self.report is None else self.report.take(rows)
+        return FieldSample(point=self.point[rows], report=report,
+                           **{name: getattr(self, name)[rows]
+                              for name in FIELD_NAMES})
 
 
 FIELD_NAMES = ("p", "q", "r") + FieldSample.PARTIAL_NAMES
-ZERO_SAMPLE = FieldSample(*([0.0] * 14))
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    value: float
-    scale: float
-    point: tuple = ()
-    equation: str = ""
+    value: np.ndarray
+    scale: np.ndarray
 
     @property
-    def normalized(self) -> float:
+    def normalized(self) -> np.ndarray:
         return abs(self.value) / (self.scale + NORM_GUARD)
 
 
@@ -102,22 +81,19 @@ class ResidualReport:
 # Derivative formulas
 # ---------------------------------------------------------------------------
 
-def _sample(point, proot, values, D, source, report) -> FieldSample:
-    """FieldSample from lane arrays; a single point gets Python floats."""
+def _sample(point, proot, values, D, report) -> FieldSample:
+    """FieldSample from lane arrays, one lane per row of the cloud."""
     if np.any(np.abs(D) < EPS_DEGENERATE):
-        raise DegenerateSampleError(float(D[np.argmin(np.abs(D))]))
+        raise DegenerateSampleError(f"degenerate relation derivative "
+                                    f"|D|={np.min(np.abs(D)):.3e}")
     n = len(proot)
-    values = {name: lanes(v, n) for name, v in values.items()}
-    if np.ndim(point) == 1:
-        return FieldSample(point=tuple(point), source=source, report=report,
-                           **{name: float(v[0]) for name, v in
-                              values.items()})
-    return FieldSample(point=point, source=source, report=report, **values)
+    return FieldSample(point=as_cloud(point), report=report,
+                       **{name: lanes(v, n) for name, v in values.items()})
 
 
 @np.errstate(all="ignore")
 def shock_derivatives(sdef, shared, point, proot,
-                      source=None, report=None) -> FieldSample:
+                      report=None) -> FieldSample:
     """Implicit differentiation of x + S F'(p) + G(p) = 0, S = a+b+d.
 
     q = m(y) + beta'(y) F(p), r = n(z) + delta'(z) F(p).
@@ -155,12 +131,11 @@ def shock_derivatives(sdef, shared, point, proot,
         r_x=de1 * F1 * p_x,
         r_y=de1 * F1 * p_y,
         r_z=n1 + de2 * F0 + de1 * F1 * p_z,
-        r_t=de1 * F1 * p_t), D, source, report)
+        r_t=de1 * F1 * p_t), D, report)
 
 
 @np.errstate(all="ignore")
-def general_derivatives(gdef, point, proot,
-                        source=None, report=None) -> FieldSample:
+def general_derivatives(gdef, point, proot, report=None) -> FieldSample:
     """Implicit differentiation of x + d1Q + d1R + T(p,t) = 0.
 
     D = d11Q + d11R + d1T (the d1T term is required: T enters the relation
@@ -194,18 +169,12 @@ def general_derivatives(gdef, point, proot,
         r_x=R12 * p_x,
         r_y=R12 * p_y,
         r_z=R22 + R12 * p_z,
-        r_t=R12 * p_t), D, source, report)
+        r_t=R12 * p_t), D, report)
 
 
 # ---------------------------------------------------------------------------
-# Brackets and residuals
+# Residuals
 # ---------------------------------------------------------------------------
-
-def poisson_bracket(a: dict, b: dict, axes) -> float:
-    """{A, B}_{mu nu} = A_mu B_nu - A_nu B_mu on axis-keyed partial maps."""
-    mu, nu = axes
-    return a[mu] * b[nu] - a[nu] * b[mu]
-
 
 def _scale(*terms):
     """Largest magnitude among the terms, lane by lane."""
@@ -223,17 +192,13 @@ def ghe_residual(s: FieldSample, shared) -> ResidualReport:
     t3 = b * s.r_x * s.q_t
     t4 = b * s.r_t * s.q_x
     value = (t1 - t2) + (t3 - t4)
-    return ResidualReport(value=value, scale=_scale(t1, t2, t3, t4),
-                          point=s.point, equation="ghe")
+    return ResidualReport(value=value, scale=_scale(t1, t2, t3, t4))
 
 
 def compat_residuals(s: FieldSample):
     """Cross-derivative compatibility: p_y - q_x and p_z - r_x."""
-    r1 = ResidualReport(value=s.p_y - s.q_x, scale=_scale(s.p_y, s.q_x),
-                        point=s.point, equation="compat_py_qx")
-    r2 = ResidualReport(value=s.p_z - s.r_x, scale=_scale(s.p_z, s.r_x),
-                        point=s.point, equation="compat_pz_rx")
-    return r1, r2
+    return (ResidualReport(value=s.p_y - s.q_x, scale=_scale(s.p_y, s.q_x)),
+            ResidualReport(value=s.p_z - s.r_x, scale=_scale(s.p_z, s.r_x)))
 
 
 def _cross_terms(si: FieldSample, sj: FieldSample, a: float, b: float):
@@ -248,22 +213,18 @@ def pairwise_balance(si: FieldSample, sj: FieldSample, shared) -> ResidualReport
     """Two-solution balance condition (the superposition cross term)."""
     t = _cross_terms(si, sj, shared.a, shared.b)
     value = (t[0] - t[1]) + (t[2] - t[3]) + (t[4] - t[5]) + (t[6] - t[7])
-    return ResidualReport(value=value, scale=_scale(*t), point=si.point,
-                          equation="pairwise_balance")
+    return ResidualReport(value=value, scale=_scale(*t))
 
 
 def n_term_balance(samples, shared) -> ResidualReport:
     """Sum of all i != j cross terms; for n = 2 this is pairwise_balance."""
-    point = samples[0].point if samples else ()
-    value = scale = 0.0 if not samples or np.ndim(samples[0].p) == 0 \
-        else np.zeros(np.shape(samples[0].p))
+    value = scale = np.zeros(np.shape(samples[0].p))
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             rep = pairwise_balance(samples[i], samples[j], shared)
             value = value + rep.value
             scale = np.maximum(scale, rep.scale)
-    return ResidualReport(value=value, scale=scale, point=point,
-                          equation="n_term_balance")
+    return ResidualReport(value=value, scale=scale)
 
 
 @np.errstate(all="ignore")
@@ -273,8 +234,8 @@ def reduced_balance(gdef1, gdef2, shared, point, p1,
 
     a [d12R2 - d12R1] [(d2T1)(d12Q2) - (d2T2)(d12Q1)]
       - b [d2T2 - d2T1] [(d12Q1)(d12R2) - (d12Q2)(d12R1)]
-    with seed-i functions evaluated at (p_i, y/z/t).  point is one point or
-    an (N, 4) cloud with one root per row in p1 and p2.
+    with seed-i functions evaluated at (p_i, y/z/t), one root per row of
+    the cloud in p1 and p2.
     """
     (x, y, z, t), p1 = cloud_lanes(point, p1)
     p2 = np.asarray(p2, dtype=float).reshape(-1)
@@ -292,10 +253,6 @@ def reduced_balance(gdef1, gdef2, shared, point, p1,
     C = T2_2 - T2_1
     rhs1 = b * C * Q12_1 * R12_2
     rhs2 = b * C * Q12_2 * R12_1
-    value = lanes((lhs1 - lhs2) - (rhs1 - rhs2), len(p1))
-    scale = lanes(_scale(lhs1, lhs2, rhs1, rhs2), len(p1))
-    if np.ndim(point) == 1:
-        return ResidualReport(value=float(value[0]), scale=float(scale[0]),
-                              point=tuple(point), equation="reduced_balance")
-    return ResidualReport(value=value, scale=scale, point=point,
-                          equation="reduced_balance")
+    return ResidualReport(
+        value=lanes((lhs1 - lhs2) - (rhs1 - rhs2), len(p1)),
+        scale=lanes(_scale(lhs1, lhs2, rhs1, rhs2), len(p1)))

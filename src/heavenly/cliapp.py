@@ -248,6 +248,13 @@ def _tolerance(value, where: str) -> float:
     return number
 
 
+def _check_width(low: float, high: float, where: str):
+    # the sampler and the scan grid scale by high - low
+    if not math.isfinite(high - low):
+        raise ScenarioError(f"{where} is too wide: high - low must be a "
+                            f"finite number")
+
+
 def _integer(value, where: str) -> int:
     # bool is an int subclass; a float such as 2.5 is refused, not truncated
     if type(value) is not int:
@@ -370,6 +377,7 @@ def load_scenario(path) -> Scenario:
             if not isinstance(box_raw[ax], list) or len(box_raw[ax]) != 2:
                 raise ScenarioError(f"{where} must be a [low, high] pair")
             box[ax] = tuple(_number(v, where) for v in box_raw[ax])
+            _check_width(*box[ax], where)
 
     branch = raw.get("branch", {})
     _require_keys(branch, ("p_lo", "p_hi", "resolution", "selection"), (),
@@ -381,6 +389,7 @@ def load_scenario(path) -> Scenario:
                             f"the bound of {MAX_RESOLUTION}")
     p_lo = _number(branch.get("p_lo", -10.0), "branch.p_lo")
     p_hi = _number(branch.get("p_hi", 10.0), "branch.p_hi")
+    _check_width(p_lo, p_hi, "branch: scan interval p_lo..p_hi")
     try:
         policy = BranchPolicy(
             p_lo=p_lo, p_hi=p_hi, resolution=resolution,
@@ -508,16 +517,15 @@ def _csv_rows(family, coeffs, cloud, first: int):
     columns += [compat[0].normalized, compat[1].normalized,
                 calculus.n_term_balance(samples, shared).normalized]
     admissible = iter(np.column_stack(columns).tolist())
-    nan = ["nan"] * len(columns)
-
-    def g(v):
-        return f"{v:.17g}"
-
+    # one %-format per row; "%.17g" % v is f"{v:.17g}", nan and inf included
+    ok_row = "%d,%s" + ",%.17g" * (4 + len(columns)) + "\n"
+    failed_row = "%d,%s" + ",%.17g" * 4 + ",nan" * len(columns) + "\n"
     for idx, (point, status) in enumerate(zip(cloud.points.tolist(),
                                               cloud.status.tolist()), first):
-        cells = [str(idx), STATUS[status]] + [g(v) for v in point]
-        cells += [g(v) for v in next(admissible)] if status == OK else nan
-        yield ",".join(cells) + "\n"
+        if status == OK:
+            yield ok_row % (idx, STATUS[status], *point, *next(admissible))
+        else:
+            yield failed_row % (idx, STATUS[status], *point)
 
 
 def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:

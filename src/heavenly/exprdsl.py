@@ -409,7 +409,11 @@ def _differentiate(e: Expr, wrt: str) -> Expr:
 
 def evaluate(e: Expr, bindings: dict) -> float:
     """Evaluate with a binding per variable; raises EvalDomainError on
-    log of non-positive, sqrt of negative, division by zero etc."""
+    log of non-positive, sqrt of negative, division by zero etc.
+
+    A scalar tree walk, independent of compile_expr: the reference the
+    compiled code and the symbolic partials are tested against.
+    """
     k = e.kind
     if k == "const":
         return e.value
@@ -611,10 +615,6 @@ class SmoothFn:
             self._compiled[orders] = compile_expr(self.partial(*orders),
                                                   self.variables)
         return self._compiled[orders]
-
-    def __call__(self, *args) -> float:
-        bindings = dict(zip(self.variables, args))
-        return evaluate(self.expr, bindings)
 
     def __repr__(self):
         return f"SmoothFn({to_source(self.expr)!r}, vars={self.variables})"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calculus import FieldSample
 from .implicitsolve import FOLD_TOL, SCAN_BUDGET, ImplicitRelation, \
-    SolveError, as_cloud, lanes, solve_on_sheet
+    as_cloud, lanes, solve_on_sheet
 
 AXES = ("x", "y", "z", "t")
 DEFAULT_H_SCALE = 1e-3
@@ -27,32 +27,8 @@ _PARTIALS = tuple((name, "pqr".index(name[0]), AXES.index(name[2:]))
                   for name in FieldSample.PARTIAL_NAMES)
 
 
-class StencilHoleError(RuntimeError):
-    """A stencil point could not be evaluated (branch hole)."""
-
-
 def _richardson(f1, fm1, f2, fm2, h):
     return (8.0 * (f1 - fm1) - (f2 - fm2)) / (12.0 * h)
-
-
-def fd_partial(fieldfn, point, axis: int, h: float) -> float:
-    """Richardson-extrapolated central difference along one axis."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    point = tuple(point)
-
-    def shifted(delta):
-        pt = list(point)
-        pt[axis] += delta
-        try:
-            return fieldfn(tuple(pt))
-        except (SolveError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
-            raise StencilHoleError(
-                f"stencil evaluation failed at offset {delta:+g} on axis "
-                f"{AXES[axis]}") from exc
-
-    return _richardson(*(shifted(k * h) for k in OFFSETS), h)
 
 
 @dataclass(frozen=True)
@@ -83,7 +59,7 @@ def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
                    near_fold: float = FOLD_TOL) -> CertReport:
     """Compare every closed-form partial of a sample against the oracle.
 
-    sample is one point or a cloud, as solve_point returns them.  The
+    sample is a cloud sample, as solve_point returns them.  The
     deviation is |fd - analytic| / (1 + |analytic|).  Lanes with |D| below
     near_fold are skipped: the implicit-function-theorem formulas blow up
     at shocks by construction.  The 16 stencil points of a lane (4 axes x

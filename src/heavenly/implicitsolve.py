@@ -1,4 +1,4 @@
-"""Root enumeration and branch continuation for implicit hodograph relations.
+"""Root enumeration and on-sheet solves for implicit hodograph relations.
 
 A relation is Phi(p; x, y, z, t) = 0 with p-derivative D.  Roots may be
 multivalued (shocks); every sign change on a scan grid is refined by
@@ -7,8 +7,9 @@ out of contract and only surfaced through the |D| < eps degeneracy flag.
 
 The engine works on whole clouds: a point set is an (N, 4) array of
 (x, y, z, t) rows, the scan runs over fixed-size blocks of rows, and Newton
-runs over every bracket of every point at once.  A single point is a
-one-row cloud of the same code.
+runs over every bracket of every point at once.  A single point is read
+as a one-row cloud (see as_cloud), so every function returns the same type
+for it as for a cloud.
 
 The scan cuts the grid into cells of SCAN_CELL intervals and evaluates Phi
 only on the cells whose interval bound may hold 0 (R. E. Moore, Interval
@@ -38,10 +39,6 @@ MAX_NEWTON_ITER = 100
 SCAN_BUDGET = 65536
 SCAN_CELL = 32           # grid intervals per scan cell
 RELATION_VARIABLES = ("p", "x", "y", "z", "t")
-
-
-class SolveError(RuntimeError):
-    """Raised when an on-sheet local solve cannot be completed."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class BranchPolicy:
     """Scan interval, resolution and branch selection rule.
 
     selection is "lowest", "nearest" (to seed_root) or an integer index
-    into the ascending root list.
+    0 <= k < resolution into the ascending root list (a bool is not one).
     """
 
     p_lo: float = -10.0
@@ -88,9 +85,12 @@ class BranchPolicy:
             raise ValueError("need p_lo < p_hi")
         if self.resolution < 16:
             raise ValueError("scan resolution must be >= 16")
-        if self.selection not in ("lowest", "nearest") \
-                and not isinstance(self.selection, int):
-            raise ValueError(f"unknown selection rule {self.selection!r}")
+        k = self.selection
+        if k not in ("lowest", "nearest") and not (
+                type(k) is int and 0 <= k < self.resolution):
+            raise ValueError(f"selection must be \"lowest\", \"nearest\" "
+                             f"or an index 0 <= k < {self.resolution}, "
+                             f"not {k!r}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,6 @@ class RootReport:
     iterations: int
     degenerate: bool = False
     converged: bool = True
-    hole: bool = False
-    jump: bool = False
-    point: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,8 @@ class RootTable:
     """Roots of a cloud as arrays, one entry per root, sorted by (owner, root).
 
     owner is the row of the cloud the root belongs to.  len() is the number
-    of roots and items are RootReport values, so a table reads like the
-    root list of one point.
+    of roots and items are RootReport values, so a table reads like a list
+    of roots.
     """
 
     owner: np.ndarray
@@ -132,8 +129,7 @@ class RootTable:
                           residual=float(self.residual[k]), deriv=d,
                           iterations=int(self.iterations[k]),
                           degenerate=bool(abs(d) < EPS_DEGENERATE),
-                          converged=bool(self.converged[k]),
-                          point=tuple(self.points[self.owner[k]].tolist()))
+                          converged=bool(self.converged[k]))
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -153,8 +149,10 @@ class RootTable:
 
 
 def as_cloud(points) -> np.ndarray:
-    """An (N, 4) float array from one point or a sequence of points."""
-    return np.asarray(points, dtype=float).reshape(-1, 4)
+    """An (N, 4) float array from one point or a sequence of points; an
+    (N, 4) float array is returned as it is."""
+    pts = np.asarray(points, dtype=float)
+    return pts if pts.ndim == 2 and pts.shape[1] == 4 else pts.reshape(-1, 4)
 
 
 def cloud_lanes(point, proot):
@@ -201,8 +199,8 @@ def _pick(root, first, counts, selection, target) -> np.ndarray:
         # lexsort is stable: ties keep the lowest root, as min() would
         order = np.lexsort((np.abs(root - target), group))
         return np.where(has, order[np.minimum(first, len(root) - 1)], -1)
-    k = int(selection)
-    return np.where((0 <= k) & (k < counts), first + k, -1)
+    # an index: BranchPolicy holds it to 0 <= k < resolution
+    return np.where(selection < counts, first + selection, -1)
 
 
 def relation_from_expr(expr: exprdsl.Expr) -> ImplicitRelation:
@@ -440,13 +438,9 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
 
 
 def enumerate_roots(rel: ImplicitRelation, points,
-                    policy: BranchPolicy = BranchPolicy()):
-    """All sign-change roots of Phi on the policy scan interval.
-
-    For one point: a list of RootReport, ascending.  For an (N, 4) cloud:
-    a RootTable sorted by (point, root).
-    """
-    single = np.ndim(points) == 1
+                    policy: BranchPolicy = BranchPolicy()) -> RootTable:
+    """All sign-change roots of Phi on the policy scan interval, as a
+    RootTable sorted by (point, root)."""
     pts = as_cloud(points)
     with np.errstate(all="ignore"):
         grid, found = _scan(rel, pts, policy)
@@ -470,96 +464,42 @@ def enumerate_roots(rel: ImplicitRelation, points,
     # brackets sit between grid nodes, exact zeros on them
     position = np.concatenate((b_col + 0.5, z_col))
     order = np.lexsort((position, owner))
-    table = RootTable(owner=owner.astype(np.int32), root=root,
-                      residual=residual, deriv=deriv, iterations=iterations,
-                      converged=converged, points=pts).take(order)
-    return list(table) if single else table
-
-
-def select_root(reports, policy: BranchPolicy, prev: float | None = None):
-    """Apply the branch selection rule; prev overrides for continuation."""
-    if not reports:
-        return None
-    roots = np.array([r.root for r in reports])
-    selection, target = policy.selection, policy.seed_root
-    if prev is not None:
-        selection, target = "nearest", prev
-    k = int(_pick(roots, np.array([0]), np.array([len(roots)]), selection,
-                  target)[0])
-    return reports[k] if k >= 0 else None
-
-
-def continue_branch(rel: ImplicitRelation, grid,
-                    policy: BranchPolicy = BranchPolicy()):
-    """Track one root branch across an ordered list of adjacent points.
-
-    Selects the root nearest to the previous accepted root; flags a branch
-    jump when the root motion exceeds 10x the median step motion so far.
-    Holes restart the continuation at the next solvable point.
-    """
-    out = []
-    prev = None
-    motions = []
-    for point in grid:
-        reports = enumerate_roots(rel, point, policy)
-        if not reports:
-            out.append(RootReport(root=float("nan"), residual=float("nan"),
-                                  deriv=float("nan"), iterations=0,
-                                  hole=True, point=tuple(point)))
-            prev = None
-            continue
-        rep = select_root(reports, policy, prev=prev)
-        if prev is not None:
-            motion = abs(rep.root - prev)
-            if motions and motion > 10.0 * median(motions):
-                rep = replace(rep, jump=True)
-            motions.append(motion)
-        out.append(rep)
-        prev = rep.root
-    return out
-
-
-_SHEET_FAILURES = ("", "evaluation failure", "flat relation",
-                   "on-sheet Newton did not converge")
+    return RootTable(owner=owner.astype(np.int32), root=root,
+                     residual=residual, deriv=deriv, iterations=iterations,
+                     converged=converged, points=pts).take(order)
 
 
 def solve_on_sheet(rel: ImplicitRelation, points, seed,
-                   max_iter: int = 60):
+                   max_iter: int = 60) -> np.ndarray:
     """Newton from a seed root, staying on the seed's branch.
 
     Used by the finite-difference oracle so stencil evaluations do not hop
-    to a different branch.  For one point returns the root and raises
-    SolveError on failure; for an (N, 4) cloud (seed scalar or one per
-    row) returns an array with nan where a lane failed.
+    to a different branch.  seed is one root or one per row of the cloud;
+    returns one root per row, nan where Phi or dPhi/dp was not finite,
+    dPhi/dp was 0 or Newton did not converge.
     """
-    single = np.ndim(points) == 1
     pts = as_cloud(points)
     n = len(pts)
     cols = pts.T
     tol = TOL_ABS + TOL_REL * np.abs(cols[0])
     p = lanes(seed, n).copy()
-    why = np.zeros(n, dtype=int)     # index into _SHEET_FAILURES
     live = np.ones(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             f = lanes(rel.phi(p, *cols), n)
             finite = np.isfinite(f)
-            why[live & ~finite] = 1
+            failed |= live & ~finite
             live &= finite & (np.abs(f) > tol)
             if not live.any():
                 break
             d = lanes(rel.dphi(p, *cols), n)
             flat = live & (~np.isfinite(d) | (d == 0.0))
-            why[flat] = 2
+            failed |= flat
             live &= ~flat
             # damp huge steps: the seed is assumed close; converged lanes
             # keep their root
             limit = 0.5 * (1.0 + np.abs(p))
             step = np.maximum(np.minimum(f / d, limit), -limit)
             p = np.where(live, p - step, p)
-    why[live] = 3
-    if single:
-        if why[0]:
-            raise SolveError(f"{_SHEET_FAILURES[why[0]]} at p={p[0]}")
-        return float(p[0])
-    return np.where(why == 0, p, np.nan)
+    return np.where(failed | live, np.nan, p)

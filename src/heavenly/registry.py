@@ -125,13 +125,6 @@ def _probe(compiled, arity, attr, orders):
             f"'{attr}' not evaluable at any probe point")
 
 
-def _field_values(point, p, q, r):
-    q, r = lanes(q, len(p)), lanes(r, len(p))
-    if np.ndim(point) == 1:
-        return float(p[0]), float(q[0]), float(r[0])
-    return p, q, r
-
-
 class ShockFamily:
     """Built shock family; immutable after construction."""
 
@@ -159,22 +152,22 @@ class ShockFamily:
             self._relations[i] = shock_relation(self.defs[i], self.shared)
         return self._relations[i]
 
-    def sample(self, i: int, point, proot: float, report=None):
+    def sample(self, i: int, point, proot, report=None):
         from .calculus import shock_derivatives
         return shock_derivatives(self.defs[i], self.shared, point, proot,
-                                 source=i, report=report)
+                                 report=report)
 
     def values(self, i: int, point, proot):
         """(p, q, r) values only, no implicit-function-theorem division.
 
-        point is one point or an (N, 4) cloud with one root per row.
+        One root per row of the cloud; one lane per row in each field.
         """
         (x, y, z, t), p = cloud_lanes(point, proot)
         d = self.defs[i]
         F = d.F.compiled((0,))(p)
         q = d.m.compiled((0,))(y) + self.shared.beta.compiled((1,))(y) * F
         r = d.n.compiled((0,))(z) + self.shared.delta.compiled((1,))(z) * F
-        return _field_values(point, p, q, r)
+        return p, lanes(q, len(p)), lanes(r, len(p))
 
 
 class GeneralFamily:
@@ -203,17 +196,16 @@ class GeneralFamily:
             self._relations[i] = general_relation(self.defs[i])
         return self._relations[i]
 
-    def sample(self, i: int, point, proot: float, report=None):
+    def sample(self, i: int, point, proot, report=None):
         from .calculus import general_derivatives
-        return general_derivatives(self.defs[i], point, proot,
-                                   source=i, report=report)
+        return general_derivatives(self.defs[i], point, proot, report=report)
 
     def values(self, i: int, point, proot):
         (x, y, z, t), p = cloud_lanes(point, proot)
         d = self.defs[i]
         q = d.Q.compiled((0, 1))(p, y)
         r = d.R.compiled((0, 1))(p, z)
-        return _field_values(point, p, q, r)
+        return p, lanes(q, len(p)), lanes(r, len(p))
 
 
 def build_shock_family(defs, shared: SharedProfile) -> ShockFamily:

@@ -44,22 +44,10 @@ class SuperposeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SuperpositionSpec:
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
-            raise SuperposeError("need at least one coefficient")
-        if all(c == 0.0 for c in self.coefficients):
-            raise SuperposeError("at least one coefficient must be nonzero")
-
-
 def superpose(samples, coeffs) -> FieldSample:
     """Coefficient-weighted sum of field samples taken at the same points."""
     if len(samples) != len(coeffs):
         raise SuperposeError("samples and coefficients differ in length")
-    SuperpositionSpec(tuple(coeffs))
     ref = samples[0].point
     for s in samples[1:]:
         if s.point is not ref and np.any(
@@ -69,7 +57,7 @@ def superpose(samples, coeffs) -> FieldSample:
     for s, c in zip(samples, coeffs):
         for name in FIELD_NAMES:
             acc[name] = acc[name] + c * getattr(s, name)
-    return FieldSample(point=ref, source="superposed", **acc)
+    return FieldSample(point=ref, **acc)
 
 
 def summarize(values) -> dict:
@@ -132,11 +120,11 @@ def _rows(pts, idx):
 
 
 def solve_point(family, points, policy: BranchPolicy):
-    """Solve every seed at one point or over an (N, 4) cloud.
+    """Solve every seed over a cloud; one point is a one-row cloud.
 
-    One point: (samples, None), or (None, ("hole"|"fold", seed index)).
-    A cloud: (CloudSolution, None) when every point is admissible, else
-    (CloudSolution, (kind, seed index)) of its first failed point.
+    (CloudSolution, None) when every point is admissible, else
+    (CloudSolution, (kind, seed index)) of its first failed point, kind
+    "hole" or "fold".
     """
     pts = as_cloud(points)
     n = len(pts)
@@ -170,11 +158,7 @@ def solve_point(family, points, policy: BranchPolicy):
     bad = np.flatnonzero(status != OK)
     failure = (STATUS[status[bad[0]]], int(failed_seed[bad[0]])) \
         if len(bad) else None
-    if np.ndim(points) == 2:
-        return cloud, failure
-    if failure:
-        return None, failure
-    return [s.lane(0) for s in samples], None
+    return cloud, failure
 
 
 def solve_chunks(family, points, policy: BranchPolicy):
@@ -238,7 +222,6 @@ def verify_theorem(family, coeffs, points,
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != family.size:
         raise SuperposeError("one coefficient per seed required")
-    SuperpositionSpec(tuple(coeffs))
 
     checks = {}
     n_points = n_admissible = n_holes = n_folds = n_pass = 0

@@ -22,7 +22,7 @@ from heavenly.calculus import (
     reduced_balance,
 )
 from heavenly.cliapp import load_scenario, main
-from heavenly.fdoracle import certify_sample, fd_partial
+from heavenly.fdoracle import OFFSETS, _richardson, certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
 from heavenly.registry import build_shock_family, shock_def_as_general
 from heavenly.superpose import solve_point, verify_theorem
@@ -101,21 +101,21 @@ def test_criterion_3_balance(bank):
             d, m=type(d.m).parse("0", ("y",)), n=type(d.n).parse("0", ("z",)))
             for d in fam.defs]
         gdefs = [shock_def_as_general(d, fam.shared) for d in stripped]
-        for point in pts[:10]:
-            samples, failure = solve_point(fam, point, BranchPolicy())
-            if samples is None:
-                continue
-            nt = n_term_balance(samples, fam.shared)
-            worst_sum = max(worst_sum, nt.normalized)
-            for i in range(len(samples)):
-                for j in range(i + 1, len(samples)):
-                    pw = pairwise_balance(samples[i], samples[j], fam.shared)
-                    worst_pair = max(worst_pair, pw.normalized)
-                    red = reduced_balance(gdefs[i], gdefs[j], fam.shared,
-                                          point, samples[i].p, samples[j].p)
-                    worst_reduced = max(worst_reduced, red.normalized)
-                    if len(samples) == 2:
-                        bit_equal &= (nt.value == pw.value)
+        cloud, _ = solve_point(fam, pts[:10], BranchPolicy())
+        samples = cloud.samples
+        admissible = cloud.points[cloud.admissible]
+        nt = n_term_balance(samples, fam.shared)
+        worst_sum = max(worst_sum, nt.normalized.max(initial=0.0))
+        for i in range(len(samples)):
+            for j in range(i + 1, len(samples)):
+                pw = pairwise_balance(samples[i], samples[j], fam.shared)
+                worst_pair = max(worst_pair, pw.normalized.max(initial=0.0))
+                red = reduced_balance(gdefs[i], gdefs[j], fam.shared,
+                                      admissible, samples[i].p, samples[j].p)
+                worst_reduced = max(worst_reduced,
+                                    red.normalized.max(initial=0.0))
+                if len(samples) == 2:
+                    bit_equal &= bool(np.array_equal(nt.value, pw.value))
     ok = (worst_pair <= 1e-9 and worst_sum <= 1e-9
           and worst_reduced <= 1e-9 and bit_equal)
     announce(3, "balance conditions", ok)
@@ -135,16 +135,13 @@ def test_criterion_4_negative_control():
     # pass_fraction at threshold 1e-3 is the fraction of admissible points
     # where the superposed residual is small; a true violation keeps it low
     sup_violates = rep.pass_fraction < 0.5
-    n_red_big = 0
-    n_red = 0
-    for point in pts:
-        samples, failure = solve_point(fam, point, sc.policy)
-        if samples is None:
-            continue
-        red = reduced_balance(fam.defs[0], fam.defs[1], fam.shared,
-                              point, samples[0].p, samples[1].p)
-        n_red += 1
-        n_red_big += red.normalized > 1e-3
+    cloud, _ = solve_point(fam, pts, sc.policy)
+    samples = cloud.samples
+    red = reduced_balance(fam.defs[0], fam.defs[1], fam.shared,
+                          cloud.points[cloud.admissible], samples[0].p,
+                          samples[1].p)
+    n_red = len(cloud.admissible)
+    n_red_big = int(np.count_nonzero(red.normalized > 1e-3))
     red_violates = n_red > 0 and n_red_big > 0.5 * n_red
     ok = seed_ok and sup_violates and red_violates
     announce(4, "negative control", ok)
@@ -166,18 +163,15 @@ def test_criterion_6_derivative_certification(bank):
     scenarios, _ = bank
     worst = 0.0
     for fam, _, pts, _ in scenarios[:4]:
-        for point in pts[:6]:
-            samples, failure = solve_point(fam, point, BranchPolicy())
-            if samples is None:
-                continue
-            for i, s in enumerate(samples):
-                cert = certify_sample(s, fam.relation(i), fam, i)
-                if cert.status == "ok":
-                    worst = max(worst, cert.max_deviation)
+        cloud, _ = solve_point(fam, pts[:6], BranchPolicy())
+        for i, s in enumerate(cloud.samples):
+            # the largest deviation over the certified points
+            cert = certify_sample(s, fam.relation(i), fam, i)
+            worst = max(worst, cert.max_deviation)
     # fourth-order convergence probe on a known derivative
     import math
-    devs = [abs(fd_partial(lambda pt: math.sin(pt[0]), (0.6, 0, 0, 0),
-                           axis=0, h=h) - math.cos(0.6))
+    devs = [abs(_richardson(*(math.sin(0.6 + k * h) for k in OFFSETS), h)
+                - math.cos(0.6))
             for h in (1e-1, 1e-2)]
     ratio = devs[0] / devs[1]
     ok = worst <= 1e-6 and 5e3 <= ratio <= 2e4

@@ -12,7 +12,7 @@ from _families import (
     unbalanced_general_pair,
 )
 from heavenly.calculus import (
-    ZERO_SAMPLE,
+    FIELD_NAMES,
     DegenerateSampleError,
     FieldSample,
     compat_residuals,
@@ -20,7 +20,6 @@ from heavenly.calculus import (
     ghe_residual,
     n_term_balance,
     pairwise_balance,
-    poisson_bracket,
     reduced_balance,
     shock_derivatives,
 )
@@ -139,67 +138,53 @@ class TestGeneralDerivatives:
         assert s.p_x == 0.0 and s.p_t == 0.0
 
 
-class TestPoissonBracket:
-    def test_direct(self):
-        a = {"y": 3.0, "t": 2.0}
-        b = {"y": 1.0, "t": 1.0}
-        assert poisson_bracket(a, b, ("y", "t")) == 1.0
+def zero_sample(n=1):
+    """A cloud sample of n lanes whose every field is 0."""
+    return FieldSample(point=np.zeros((n, 4)),
+                       **dict.fromkeys(FIELD_NAMES, np.zeros(n)))
 
-    def test_self_bracket_vanishes(self):
-        a = {"y": 0.37, "t": -1.4}
-        assert poisson_bracket(a, a, ("y", "t")) == 0.0
 
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = {"y": rng.normal(), "t": rng.normal()}
-            b = {"y": rng.normal(), "t": rng.normal()}
-            assert poisson_bracket(a, b, ("y", "t")) == \
-                -poisson_bracket(b, a, ("y", "t"))
+def negative_x_cloud(count, seed):
+    """The test box's Halton cloud with x moved to -|x| - 0.2."""
+    pts = halton_cloud(count, seed=seed)
+    pts[:, 0] = -np.abs(pts[:, 0]) - 0.2
+    return pts
 
 
 class TestResiduals:
     def _samples(self, count=40):
+        """Seed samples over the admissible points of a Halton cloud."""
         shared = simple_shared()
         fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
                                  shared)
-        out = []
-        for point in halton_cloud(count, seed=4):
-            samples, failure = solve_point(fam, point, BranchPolicy())
-            if samples is not None:
-                out.append(samples)
-        return out, shared
+        cloud, _ = solve_point(fam, halton_cloud(count, seed=4),
+                               BranchPolicy())
+        assert len(cloud.admissible)
+        return cloud.samples, shared
 
     def test_shock_samples_solve_equation(self):
-        all_samples, shared = self._samples()
-        assert all_samples
-        for samples in all_samples:
-            for s in samples:
-                assert ghe_residual(s, shared).normalized <= 1e-10
-                for c in compat_residuals(s):
-                    assert c.normalized <= 1e-10
+        samples, shared = self._samples()
+        for s in samples:
+            assert (ghe_residual(s, shared).normalized <= 1e-10).all()
+            for c in compat_residuals(s):
+                assert (c.normalized <= 1e-10).all()
 
     def test_general_samples_solve_equation(self):
         shared = simple_shared()
         fam = build_general_family(list(unbalanced_general_pair()), shared)
-        cloud = [(x, y, z, t) for (x, y, z, t) in halton_cloud(40, seed=5)]
-        cloud = [(-abs(x) - 0.2, y, z, t) for (x, y, z, t) in cloud]
-        hits = 0
-        for point in cloud:
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            if samples is None:
-                continue
-            hits += 1
-            for s in samples:
-                assert ghe_residual(s, shared).normalized <= 1e-10
-                for c in compat_residuals(s):
-                    assert c.normalized <= 1e-10
-        assert hits >= 20
+        cloud, _ = solve_point(fam, negative_x_cloud(40, seed=5),
+                               BranchPolicy())
+        for s in cloud.samples:
+            assert (ghe_residual(s, shared).normalized <= 1e-10).all()
+            for c in compat_residuals(s):
+                assert (c.normalized <= 1e-10).all()
+        assert len(cloud.admissible) >= 20
 
     def test_zero_sample(self):
         shared = simple_shared()
-        assert ghe_residual(ZERO_SAMPLE, shared).value == 0.0
-        r1, r2 = compat_residuals(ZERO_SAMPLE)
+        zero = zero_sample()
+        assert ghe_residual(zero, shared).value == 0.0
+        r1, r2 = compat_residuals(zero)
         assert (r1.value, r2.value) == (0.0, 0.0)
 
     def test_residual_is_the_declared_form(self):
@@ -213,8 +198,8 @@ class TestResiduals:
         assert ghe_residual(s, shared).value == 2.0 * 5.0 - 3.0 * -8.0
 
     def test_residual_scales_quadratically(self):
-        all_samples, shared = self._samples(10)
-        s = all_samples[0][0]
+        samples, shared = self._samples(10)
+        s = samples[0].lane(0)
         lam = 3.0
         scaled = superpose([s], [lam])
         base = ghe_residual(s, shared)
@@ -228,48 +213,47 @@ class TestBalances:
         shared = simple_shared()
         fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
                                  shared)
-        for point in halton_cloud(40, seed=6):
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            assert samples is not None
-            assert pairwise_balance(samples[0], samples[1],
-                                    shared).normalized <= 1e-10
+        cloud, failure = solve_point(fam, halton_cloud(40, seed=6),
+                                     BranchPolicy())
+        assert failure is None
+        samples = cloud.samples
+        assert (pairwise_balance(samples[0], samples[1],
+                                 shared).normalized <= 1e-10).all()
 
     def test_unbalanced_general_pair_violates(self):
         shared = simple_shared()
         fam = build_general_family(list(unbalanced_general_pair()), shared)
-        violated = 0
-        total = 0
-        for (x, y, z, t) in halton_cloud(60, seed=7):
-            point = (-abs(x) - 0.2, y, z, t)
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            if samples is None:
-                continue
-            total += 1
-            if pairwise_balance(samples[0], samples[1],
-                                shared).normalized > 1e-3:
-                violated += 1
+        cloud, _ = solve_point(fam, negative_x_cloud(60, seed=7),
+                               BranchPolicy())
+        samples = cloud.samples
+        total = len(cloud.admissible)
+        violated = np.count_nonzero(pairwise_balance(
+            samples[0], samples[1], shared).normalized > 1e-3)
         assert total >= 30
         assert violated > total // 2
 
     def test_zero_samples_balance(self):
         shared = simple_shared()
-        rep = pairwise_balance(ZERO_SAMPLE, ZERO_SAMPLE, shared)
+        rep = pairwise_balance(zero_sample(), zero_sample(), shared)
         assert rep.value == 0.0
 
     def test_n_term_matches_pairwise_for_two(self):
         shared = simple_shared()
         fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
                                  shared)
-        for point in halton_cloud(20, seed=8):
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            pw = pairwise_balance(samples[0], samples[1], shared)
-            nt = n_term_balance(samples, shared)
-            assert nt.value == pw.value  # bit-identical by construction
-            assert nt.scale == pw.scale
+        cloud, failure = solve_point(fam, halton_cloud(20, seed=8),
+                                     BranchPolicy())
+        assert failure is None
+        samples = cloud.samples
+        pw = pairwise_balance(samples[0], samples[1], shared)
+        nt = n_term_balance(samples, shared)
+        # bit-identical by construction
+        assert np.array_equal(nt.value, pw.value)
+        assert np.array_equal(nt.scale, pw.scale)
 
     def test_n_term_single_sample_is_empty_sum(self):
         shared = simple_shared()
-        rep = n_term_balance([ZERO_SAMPLE], shared)
+        rep = n_term_balance([zero_sample()], shared)
         assert (rep.value, rep.scale) == (0.0, 0.0)
 
     def test_three_shock_seeds_balance(self):
@@ -279,10 +263,11 @@ class TestBalances:
                                  m=sf("y", ("y",)), n=sf("cos(z)", ("z",)))
         fam = build_shock_family(
             [quadratic_shock_def(), second_shock_def(), third], shared)
-        for point in halton_cloud(30, seed=9):
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            assert samples is not None
-            assert n_term_balance(samples, shared).normalized <= 1e-10
+        cloud, failure = solve_point(fam, halton_cloud(30, seed=9),
+                                     BranchPolicy())
+        assert failure is None
+        assert (n_term_balance(cloud.samples,
+                               shared).normalized <= 1e-10).all()
 
 
 class TestReducedBalance:
@@ -303,27 +288,25 @@ class TestReducedBalance:
         sdefs = [quadratic_shock_def(), poly_second]
         gdefs = [shock_def_as_general(d, shared) for d in sdefs]
         fam = build_general_family(gdefs, shared)
-        for point in halton_cloud(30, seed=10):
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            assert samples is not None
-            rep = reduced_balance(gdefs[0], gdefs[1], shared, point,
-                                  samples[0].p, samples[1].p)
-            assert rep.normalized <= 1e-10
+        cloud, failure = solve_point(fam, halton_cloud(30, seed=10),
+                                     BranchPolicy())
+        assert failure is None
+        samples = cloud.samples
+        rep = reduced_balance(gdefs[0], gdefs[1], shared, cloud.points,
+                              samples[0].p, samples[1].p)
+        assert (rep.normalized <= 1e-10).all()
 
     def test_unbalanced_pair_violates(self):
         shared = simple_shared()
         g1, g2 = unbalanced_general_pair()
         fam = build_general_family([g1, g2], shared)
-        violated = total = 0
-        for (x, y, z, t) in halton_cloud(60, seed=11):
-            point = (-abs(x) - 0.2, y, z, t)
-            samples, _ = solve_point(fam, point, BranchPolicy())
-            if samples is None:
-                continue
-            total += 1
-            rep = reduced_balance(g1, g2, shared, point,
-                                  samples[0].p, samples[1].p)
-            if rep.normalized > 1e-3:
-                violated += 1
+        cloud, _ = solve_point(fam, negative_x_cloud(60, seed=11),
+                               BranchPolicy())
+        samples = cloud.samples
+        rep = reduced_balance(g1, g2, shared,
+                              cloud.points[cloud.admissible],
+                              samples[0].p, samples[1].p)
+        total = len(cloud.admissible)
+        violated = np.count_nonzero(rep.normalized > 1e-3)
         assert total >= 30
         assert violated > total // 2

@@ -288,6 +288,13 @@ class TestMalformedValues:
           for g in ("p + 1/0", "p + 0/0", "p + 1/(1-1)", "p + 1e308*10",
                     "p + 10^400")),
         ({"tolerances": {"fd": -1e-6}}, "tolerances.fd must not be negative"),
+        *(({"branch": {"selection": k}}, "branch: selection")
+          for k in (10 ** 30, -10 ** 30, True, False, -1, 1024, 2.0)),
+        ({"sampling": dict(BASE["sampling"], box=dict(
+            BASE["sampling"]["box"], x=[-1e308, 1e308]))},
+         "sampling.box.x is too wide"),
+        ({"branch": {"p_lo": -1e308, "p_hi": 1e308}},
+         "scan interval p_lo..p_hi is too wide"),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

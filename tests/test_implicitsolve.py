@@ -8,13 +8,10 @@ from heavenly.cliapp import load_scenario, scrambled_halton
 from heavenly.implicitsolve import (
     BranchPolicy,
     ImplicitRelation,
-    SolveError,
-    continue_branch,
     enumerate_roots,
     general_relation,
     lanes,
     median,
-    select_root,
     shock_relation,
     solve_on_sheet,
 )
@@ -50,7 +47,6 @@ class TestBranchPolicy:
     def test_unknown_selection(self):
         with pytest.raises(ValueError):
             BranchPolicy(selection="biggest")
-
 
 class TestEnumerateRoots:
     def test_affine_worked_example(self):
@@ -105,7 +101,7 @@ class TestEnumerateRoots:
             return p ** 2 + 1.0
         rel = ImplicitRelation(phi=phi, dphi=lambda p, *pt: 2 * p,
                                phi_vec=phi)
-        assert enumerate_roots(rel, (0.0, 0.0, 0.0, 0.0)) == []
+        assert len(enumerate_roots(rel, (0.0, 0.0, 0.0, 0.0))) == 0
 
     def test_closed_form_oracle_equivalence(self):
         rel = affine_relation()
@@ -137,13 +133,32 @@ class TestCloudBatch:
             reports = enumerate_roots(rel, point, policy)
             assert [r.root for r in reports] == \
                 table.root[table.owner == k].tolist()
-            want = select_root(reports, policy)
-            if want is None:
+            pick = reports.select(policy)[0]
+            if pick < 0:
                 assert picks[k] == -1
                 continue
-            got = table[picks[k]]
+            got, want = table[picks[k]], reports[pick]
             assert (got.root, got.converged, got.iterations, got.deriv) == \
                 (want.root, want.converged, want.iterations, want.deriv)
+
+    def test_fold_approach_drives_deriv_to_zero(self):
+        # Phi = x + p^3 - p folds at p = 1/sqrt(3), x = 2/(3 sqrt 3);
+        # dense scan of D = 3p^2 - 1 locates the crossing, and a cloud
+        # approaching that x sees |D| -> 0 on the root nearest 0.9
+        rel = cubic_relation()
+        p_dense = np.linspace(0.2, 1.0, 400001)
+        dvals = 3.0 * p_dense ** 2 - 1.0
+        i = np.flatnonzero(dvals[:-1] * dvals[1:] < 0.0)[0]
+        p_fold = 0.5 * (p_dense[i] + p_dense[i + 1])
+        fold_x = p_fold - p_fold ** 3
+        xs = fold_x * (1.0 - np.logspace(-8, -1, 30))[::-1]
+        cloud = np.array([(x, 0.0, 0.0, 0.0) for x in xs])
+        pol = BranchPolicy(selection="nearest", seed_root=0.9,
+                           resolution=1 << 17)
+        table = enumerate_roots(rel, cloud, pol)
+        picks = table.select(pol)
+        min_d = np.abs(table.deriv[picks[picks >= 0]]).min()
+        assert min_d < 1e-3
 
     def test_nan_inside_bracket_ends_unconverged(self):
         # Phi = p - 0.03 + x, undefined on |p| < 0.01.  At x = 0 the root
@@ -205,23 +220,29 @@ def test_residual_is_phi_at_the_root(name, rel, policy):
 
 
 class TestSelectRoot:
+    """RootTable.select on the three roots of a one-point cloud."""
+
     def setup_method(self):
         self.reports = enumerate_roots(cubic_relation(),
                                        (0.0, 0.0, 0.0, 0.0))
 
+    def select(self, policy):
+        k = self.reports.select(policy)[0]
+        return None if k < 0 else self.reports[k]
+
     def test_lowest(self):
-        r = select_root(self.reports, BranchPolicy(selection="lowest"))
+        r = self.select(BranchPolicy(selection="lowest"))
         assert r.root == pytest.approx(-1.0, abs=1e-10)
 
     def test_nearest(self):
         pol = BranchPolicy(selection="nearest", seed_root=0.9)
-        r = select_root(self.reports, pol)
+        r = self.select(pol)
         assert r.root == pytest.approx(1.0, abs=1e-10)
 
     def test_index(self):
-        r = select_root(self.reports, BranchPolicy(selection=1))
+        r = self.select(BranchPolicy(selection=1))
         assert r.root == pytest.approx(0.0, abs=1e-10)
-        assert select_root(self.reports, BranchPolicy(selection=5)) is None
+        assert self.select(BranchPolicy(selection=5)) is None
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -248,76 +269,6 @@ def test_median_matches_numpy_on_random_ties():
         assert median(v.tolist()) == median(v)
 
 
-class TestContinueBranch:
-    def test_line_matches_closed_form(self):
-        rel = affine_relation()
-        y, z, t = 1.0, 1.0, 1.0
-        xs = np.linspace(-1.0, 1.0, 16)
-        grid = [(x, y, z, t) for x in xs]
-        reports = continue_branch(rel, grid)
-        assert len(reports) == 16
-        for rep, x in zip(reports, xs):
-            assert rep.root == pytest.approx(-x / 4.0, rel=1e-12, abs=1e-14)
-            assert not rep.hole
-
-    def test_fold_approach_drives_deriv_to_zero(self):
-        # Phi = x + p^3 - p folds at p = 1/sqrt(3), x = 2/(3 sqrt 3);
-        # dense scan of D = 3p^2 - 1 locates the crossing, and a grid
-        # approaching that x sees |D| -> 0 on the tracked branch.
-        rel = cubic_relation()
-        p_dense = np.linspace(0.2, 1.0, 400001)
-        dvals = 3.0 * p_dense ** 2 - 1.0
-        i = np.flatnonzero(dvals[:-1] * dvals[1:] < 0.0)[0]
-        p_fold = 0.5 * (p_dense[i] + p_dense[i + 1])
-        fold_x = p_fold - p_fold ** 3
-        xs = fold_x * (1.0 - np.logspace(-8, -1, 30))[::-1]
-        grid = [(x, 0.0, 0.0, 0.0) for x in xs]
-        pol = BranchPolicy(selection="nearest", seed_root=0.9,
-                           resolution=1 << 17)
-        reports = continue_branch(rel, grid, pol)
-        min_d = min(abs(r.deriv) for r in reports if not r.hole)
-        assert min_d < 1e-3
-
-    def test_fold_crossing_jumps_branch(self):
-        rel = cubic_relation()
-        fold_x = 2.0 / (3.0 * np.sqrt(3.0))
-        xs = np.concatenate([np.linspace(0.0, 0.95 * fold_x, 20),
-                             [1.2 * fold_x]])
-        pol = BranchPolicy(selection="nearest", seed_root=0.9)
-        reports = continue_branch(rel, [(x, 0, 0, 0) for x in xs], pol)
-        # past the fold only the far branch remains: nearest-root tracking
-        # lands there and the motion is flagged as a jump
-        assert any(r.jump for r in reports)
-
-    def test_single_point_grid(self):
-        rel = affine_relation()
-        point = (1.0, 1.0, 1.0, 1.0)
-        single = continue_branch(rel, [point])
-        direct = select_root(enumerate_roots(rel, point), BranchPolicy())
-        assert single[0].root == direct.root
-
-    def test_hole_restarts(self):
-        def phi(p, x, y, z, t):
-            return p ** 2 + 1.0 if abs(x) < 0.1 else p - x
-        rel = ImplicitRelation(phi=phi, dphi=lambda p, *pt: 1.0,
-                               phi_vec=np.vectorize(phi))
-        grid = [(x, 0.0, 0.0, 0.0) for x in (-0.5, -0.3, 0.0, 0.3, 0.5)]
-        reports = continue_branch(rel, grid)
-        assert [r.hole for r in reports] == [False, False, True, False, False]
-
-    def test_jump_diagnostic(self):
-        # root jumps by 5 at x = 0.5 after tiny motions
-        def phi(p, x, y, z, t):
-            target = x if x < 0.45 else x + 5.0
-            return p - target
-        rel = ImplicitRelation(phi=phi, dphi=lambda p, *pt: 1.0,
-                               phi_vec=np.vectorize(phi))
-        xs = np.linspace(0.0, 0.5, 26)
-        reports = continue_branch(rel, [(x, 0, 0, 0) for x in xs])
-        assert any(r.jump for r in reports)
-        assert not reports[1].jump
-
-
 class TestSolveOnSheet:
     def test_stays_on_branch(self):
         rel = cubic_relation()
@@ -327,9 +278,9 @@ class TestSolveOnSheet:
         p = solve_on_sheet(rel, (0.0, 0.0, 0.0, 0.0), seed=-0.9)
         assert p == pytest.approx(-1.0, abs=1e-10)
 
-    def test_flat_relation_raises(self):
+    def test_flat_relation_gives_nan(self):
         rel = ImplicitRelation(phi=lambda p, *pt: 1.0,
                                dphi=lambda p, *pt: 0.0,
                                phi_vec=lambda p, *pt: np.ones_like(p))
-        with pytest.raises(SolveError):
-            solve_on_sheet(rel, (0.0, 0.0, 0.0, 0.0), seed=0.0)
+        p = solve_on_sheet(rel, (0.0, 0.0, 0.0, 0.0), seed=0.0)
+        assert p.shape == (1,) and np.isnan(p[0])
