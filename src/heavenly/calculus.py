@@ -184,6 +184,7 @@ def _scale(*terms):
     return out
 
 
+@np.errstate(all="ignore")
 def ghe_residual(s: FieldSample, shared) -> ResidualReport:
     """Field-form equation residual a{r,p}_{yt} + b{r,q}_{xt}."""
     a, b = shared.a, shared.b

@@ -402,6 +402,9 @@ def load_scenario(path) -> Scenario:
     _require_keys(tol_raw, tuple(DEFAULT_TOLERANCES), (), "tolerances")
     tolerances.update({k: _tolerance(v, f"tolerances.{k}")
                        for k, v in tol_raw.items()})
+    if tolerances["pass_fraction"] > 1.0:
+        raise ScenarioError(f"tolerances.pass_fraction must not exceed 1, "
+                            f"not {tol_raw['pass_fraction']!r}")
 
     expect = raw.get("expect", "satisfy")
     if expect not in ("satisfy", "violate"):
@@ -445,6 +448,12 @@ def _tolerances(scenario: Scenario, args) -> dict:
     return tol
 
 
+def _above(value, tol) -> bool:
+    """Whether a maximum fails its tolerance: nan, a check that could not
+    be computed, fails too."""
+    return not value <= tol
+
+
 def _verdict(failures: list, payload: dict) -> tuple[int, dict]:
     """Print the verdict line; the exit code and the completed payload."""
     print("verdict: " + ("FAIL: " + "; ".join(failures) if failures
@@ -465,20 +474,21 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     if report.n_admissible == 0:
         failures.append("no admissible points")
     elif scenario.expect == "satisfy":
-        if ch["seed_ghe"]["max"] > tol["seed_residual"]:
+        if _above(ch["seed_ghe"]["max"], tol["seed_residual"]):
             failures.append("seed GHE residual above tolerance")
-        if ch["seed_compat"]["max"] > tol["seed_residual"]:
+        if _above(ch["seed_compat"]["max"], tol["seed_residual"]):
             failures.append("seed compatibility residual above tolerance")
-        if ch["n_term_balance"]["max"] > tol["residual"]:
+        if _above(ch["n_term_balance"]["max"], tol["residual"]):
             failures.append("balance residual above tolerance")
         if report.pass_fraction < tol["pass_fraction"]:
             failures.append("superposed residual pass fraction too low")
-        if ch["quadratic_identity"]["max"] > tol["identity"]:
+        if _above(ch["quadratic_identity"]["max"], tol["identity"]):
             failures.append("quadratic-form identity defect above tolerance")
     else:
-        if ch["seed_ghe"]["max"] > tol["seed_residual"]:
+        if _above(ch["seed_ghe"]["max"], tol["seed_residual"]):
             failures.append("violation control: seeds do not solve the equation")
-        if ch["superposed_ghe"]["median"] <= tol["violation"]:
+        # a nan median is no violation observed
+        if not ch["superposed_ghe"]["median"] > tol["violation"]:
             failures.append("expected violation not observed at most points")
 
     print(f"scenario: {scenario.name} (expect {scenario.expect})")
@@ -581,12 +591,12 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     elif scenario.expect == "satisfy":
         for name in ("pairwise", "n_term", "reduced"):
             st = result[name]
-            if st["count"] and st["max"] > tol["residual"]:
+            if st["count"] and _above(st["max"], tol["residual"]):
                 failures.append(f"{name} balance residual above tolerance")
     else:
         checked = result["reduced"] if result["reduced"]["count"] \
             else result["pairwise"]
-        if checked["count"] == 0 or checked["median"] <= tol["violation"]:
+        if checked["count"] == 0 or not checked["median"] > tol["violation"]:
             failures.append("expected balance violation not observed")
 
     print(f"scenario: {scenario.name} (expect {scenario.expect})")
@@ -625,7 +635,7 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     failures = []
     if n_ok == 0:
         failures.append("no certifiable samples")
-    elif not max_dev <= tol:
+    elif _above(max_dev, tol):
         failures.append("finite-difference deviation above tolerance")
 
     print(f"scenario: {scenario.name}")

@@ -11,10 +11,13 @@ runs over every bracket of every point at once.  A single point is read
 as a one-row cloud (see as_cloud), so every function returns the same type
 for it as for a cloud.
 
-The scan cuts the grid into cells of SCAN_CELL intervals and evaluates Phi
-only on the cells whose interval bound may hold 0 (R. E. Moore, Interval
-Analysis, 1966).  The bound encloses the values numpy computes, so the
-brackets and grid zeros are those of evaluating every node.
+The scan bounds Phi on a tree of grid cells (R. E. Moore, Interval
+Analysis, 1966): it starts from a few coarse cells, splits only the cells
+whose bound may hold 0, down to leaves of SCAN_LEAF intervals, and
+evaluates Phi on the nodes of the surviving cells.  The bound encloses the
+values numpy computes, so a cell it clears holds no sign change and no
+grid zero, and the brackets and grid zeros are those of evaluating every
+node.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ TOL_REL = 1e-12
 EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
-# Scan elements alive per block: a one-cell block is
-# SCAN_BUDGET // (2 * resolution) cloud rows.  A constant, so results never
-# depend on the cloud size.
+# Scan values alive at once, up to a small factor (see _scan): a one-cell
+# grid is evaluated SCAN_BUDGET // (4 * resolution) cloud rows at a time.
+# A constant, so results never depend on the cloud size.
 SCAN_BUDGET = 65536
-SCAN_CELL = 32           # grid intervals per scan cell
+SCAN_LEAF = 2            # grid intervals per leaf cell of the scan tree
+SCAN_ROOTS = 4           # coarse cells the scan tree starts from, a power of 2
 RELATION_VARIABLES = ("p", "x", "y", "z", "t")
 
 
@@ -46,10 +50,11 @@ class ImplicitRelation:
     """Bundle of Phi and D = dPhi/dp as numpy callables f(p, x, y, z, t).
 
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
-    (one value per bracket); phi_vec on scan blocks: a (1, n) grid row, or
-    a slice of it, against (k, 1) columns of points.  A result may come
-    back as a Python float when the expression is constant, so callers
-    broadcast.
+    (one value per bracket); phi_vec on scan cells: a (pairs, nodes) array
+    of the grid nodes of each (point, cell) pair against the (pairs, 1)
+    columns of its point, or, for a relation without a bound, the (1, n)
+    grid row against (k, 1) columns.  A result may come back as a Python
+    float when the expression is constant, so callers broadcast.
 
     expr is the Phi expression over RELATION_VARIABLES that the callables
     were compiled from (see relation_from_expr), or None for a relation
@@ -250,42 +255,85 @@ def _split(e: exprdsl.Expr):
     return (e.kind, *parts)
 
 
-def _on_cells(node, grid, nodes):
-    """node with each row leaf replaced by its (1, cells) min and max."""
+def _on_cells(program, grid, roots, width):
+    """program with each row leaf replaced by its min and max on the cells
+    of every tree level, coarse level (roots cells of width nodes) first.
+
+    A leaf cell is SCAN_LEAF intervals, and its nodes past the grid hold
+    the last node's value; a parent's bound is the min and max over its
+    two children.
+    """
+    starts = np.arange(0, (width - 1) * roots, SCAN_LEAF)
+    nodes = np.minimum(starts[:, None] + np.arange(SCAN_LEAF + 1),
+                       len(grid) - 1)
+    return _level_bounds(program, grid, nodes, roots)
+
+
+def _level_bounds(node, grid, nodes, roots):
     if node[0] == "row":
         vals = np.broadcast_to(np.asarray(node[1](grid[None, :], None, None,
                                                   None, None), dtype=float),
                                (1, len(grid)))[0][nodes]
-        return ("row", vals.min(axis=1)[None], vals.max(axis=1)[None])
+        lo, hi = [vals.min(axis=1)], [vals.max(axis=1)]
+        while len(lo[-1]) > roots:
+            lo.append(np.minimum(lo[-1][::2], lo[-1][1::2]))
+            hi.append(np.maximum(hi[-1][::2], hi[-1][1::2]))
+        return ("row", lo[::-1], hi[::-1])
     if node[0] == "col":
         return node
-    return (node[0], *(_on_cells(child, grid, nodes) for child in node[1:]))
+    return (node[0], *(_level_bounds(child, grid, nodes, roots)
+                       for child in node[1:]))
 
 
-def _bound(node, cols):
-    """Lower and upper bounds of a program node on each (row, cell).
+def _on_block(node, cols):
+    """node with each col leaf replaced by its values on the block rows (a
+    constant stays a float) and their sign: 1 or -1 if every value has it,
+    else 0."""
+    if node[0] == "col":
+        v = node[1](None, *cols)
+        if not isinstance(v, float):
+            v = lanes(v, len(cols[0]))
+        sign = 1 if np.all(v > 0.0) else -1 if np.all(v < 0.0) else 0
+        return ("col", v, sign)
+    if node[0] == "row":
+        return node
+    return (node[0], *(_on_block(child, cols) for child in node[1:]))
+
+
+def _bound(node, level, owner, cell):
+    """Lower and upper bounds of a program node on the cells of a tree
+    level: cell indexes the level's cells and owner the block rows.
 
     Rounding to nearest is non-decreasing in each operand of + - * / and
     negation, so the bounds enclose the computed values; nan means none.
     """
     kind = node[0]
     if kind == "row":
-        return node[1], node[2]
+        return node[1][level][cell], node[2][level][cell]
     if kind == "col":
-        v = node[1](None, *cols)
+        v = node[1] if isinstance(node[1], float) else node[1][owner]
         return v, v
-    a_lo, a_hi = _bound(node[1], cols)
     if kind == "neg":
+        a_lo, a_hi = _bound(node[1], level, owner, cell)
         return -a_hi, -a_lo
-    b_lo, b_hi = _bound(node[2], cols)
+    a, b = node[1], node[2]
+    if kind == "mul" and a[0] == "col":
+        a, b = b, a         # a product has the same bits either way round
+    a_lo, a_hi = _bound(a, level, owner, cell)
+    b_lo, b_hi = _bound(b, level, owner, cell)
     if kind == "add":
         return a_lo + b_lo, a_hi + b_hi
     if kind == "sub":
         return a_lo - b_hi, a_hi - b_lo
-    # a col leaf is a point (lo is hi): its two corners are all four
     op = operator.mul if kind == "mul" else operator.truediv
-    corners = [op(a, b) for a in ((a_lo,) if a_lo is a_hi else (a_lo, a_hi))
-               for b in ((b_lo,) if b_lo is b_hi else (b_lo, b_hi))]
+    if b[0] == "col" and b[2]:
+        # a col leaf of one sign on the block keeps the ends in order or
+        # swaps them
+        lo, hi = op(a_lo, b_lo), op(a_hi, b_lo)
+        return (lo, hi) if b[2] > 0 else (hi, lo)
+    # a col leaf is a point (lo is hi): its two corners are all four
+    corners = [op(x, y) for x in ((a_lo,) if a_lo is a_hi else (a_lo, a_hi))
+               for y in ((b_lo,) if b_lo is b_hi else (b_lo, b_hi))]
     lo = functools.reduce(np.minimum, corners)
     hi = functools.reduce(np.maximum, corners)
     if kind == "div":
@@ -295,11 +343,31 @@ def _bound(node, cols):
     return lo, hi
 
 
-def _cells(rel: ImplicitRelation, policy: BranchPolicy):
-    """Grid, first node of each cell, nodes per cell and bound program.
+def _may_hold_zero(lo, hi):
+    # nan fails both tests, so an unbounded cell is kept
+    return np.logical_not((lo > 0.0) | (hi < 0.0))
 
-    Without a bound program the whole grid is one cell.  Built once per
-    relation and grid.
+
+def _kept(program, level, pairs, bits):
+    """The pairs (row << bits | cell) of a tree level whose bound may hold
+    0, bounded SCAN_BUDGET // 8 pairs at a time."""
+    kept = []
+    for c in range(0, max(len(pairs), 1), SCAN_BUDGET // 8):
+        part = pairs[c:c + SCAN_BUDGET // 8]
+        kept.append(part[np.flatnonzero(_may_hold_zero(*_bound(
+            program, level, part >> bits, part & ((1 << bits) - 1))))])
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+
+
+def _cells(rel: ImplicitRelation, policy: BranchPolicy):
+    """Grid, first node of each coarse cell, nodes per coarse cell and bound
+    program.
+
+    The scan tree starts from SCAN_ROOTS coarse cells of SCAN_LEAF
+    intervals times the least power of two that lets them cover the grid;
+    a cell may run past the grid.  Without a bound program the whole grid
+    is one cell.  Built once per relation and grid; the cell bounds of the
+    program's p-only leaves are not kept (see _scan).
     """
     key = (policy.p_lo, policy.p_hi, policy.resolution)
     cache = rel._cache
@@ -309,76 +377,114 @@ def _cells(rel: ImplicitRelation, policy: BranchPolicy):
         program = cache["split"]
         grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
         last = len(grid) - 1
-        cell = last if program is None else min(SCAN_CELL, last)
-        starts = np.arange(0, last, cell)
+        starts = np.zeros(1, dtype=np.intp)
+        cell = last
         if program is not None:
-            nodes = np.minimum(starts[:, None] + np.arange(cell + 1), last)
-            program = _on_cells(program, grid, nodes)
+            cell = SCAN_LEAF
+            while cell * SCAN_ROOTS < last:
+                cell *= 2
+            starts = np.arange(0, cell * SCAN_ROOTS, cell)
         cache[key] = grid, starts, cell + 1, program
     return cache[key]
 
 
 def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
-    """Sign-change brackets and exact grid zeros of Phi, cell by cell.
+    """Sign-change brackets and exact grid zeros of Phi, on a cell tree.
 
-    phi_vec runs on a cell's slice of the grid against the block rows whose
-    bound on that cell is not strictly positive or strictly negative.  A
-    relation without a bound program is one cell spanning the grid.
+    Each block of rows starts from the coarse cells.  A cell whose bound is
+    strictly positive or strictly negative is cleared; the others are split
+    in two, down to cells of SCAN_LEAF intervals, or until a split clears
+    less than a quarter of the children (a bound too loose to gain from
+    narrower cells).  phi_vec then runs on the grid nodes of the surviving
+    cells of a work item at once.  A relation without a bound program is
+    one cell spanning the grid.
     """
     grid, starts, width, program = _cells(rel, policy)
-    row = grid[None, :]
     last = len(grid) - 1
-    n_cells = len(starts)
-    # A block keeps about eight (rows, cells) bound arrays alive.  Its
-    # (row, cell) pairs are evaluated in chunks whose values are held twice,
-    # as phi_vec results and as the chunk's array: half of SCAN_BUDGET each.
-    chunk = max(1, SCAN_BUDGET // (2 * width))
-    rows = max(1, min(SCAN_BUDGET // (8 * n_cells), chunk))
-    # typed empty entries: a cloud whose cells are all skipped finds none
+    roots = len(starts)
+    depth = (width - 1).bit_length() - SCAN_LEAF.bit_length() \
+        if program is not None else 0
+    # a (row, cell) pair of a tree level is row << (shift + level) | cell
+    shift = (roots - 1).bit_length()
+    # nodes past the grid are evaluated but never reported
+    padded = np.r_[grid, np.full(roots * (width - 1) + 1 - len(grid), np.nan)]
+    # A bound call keeps about eight arrays of its SCAN_BUDGET // 8 pairs
+    # alive.  An evaluated chunk holds its gathered nodes, their phi_vec
+    # values and products and phi_vec's temporaries, a quarter of
+    # SCAN_BUDGET each.
+    rows = SCAN_BUDGET // (8 * SCAN_ROOTS)
+    item = rows * roots     # pairs of a work item, at most
+    if program is not None:
+        # computed per call: kept with the relation, the bounds of every
+        # level would outlive the scan
+        program = _on_cells(program, grid, roots, width)
+    # typed empty entries: a cloud whose cells are all cleared finds none
     found = {k: [np.zeros(0, dtype=float if k == "b_flo" else np.intp)]
              for k in ("b_owner", "b_col", "b_flo", "z_owner", "z_col")}
-    for start in range(0, len(pts), rows):
-        block = pts[start:start + rows]
-        if program is None:
-            need = np.ones((len(block), 1), dtype=bool)
-        else:
-            lo, hi = _bound(program, [block[:, k:k + 1] for k in range(4)])
-            # nan fails both tests, so an unbounded cell is evaluated
-            need = np.broadcast_to(np.logical_not((lo > 0.0) | (hi < 0.0)),
-                                   (len(block), n_cells))
-        cell, r = np.nonzero(need.T)        # by cell, rows ascending
-        for c0 in range(0, len(r), chunk):
-            node0 = starts[cell[c0:c0 + chunk]]
-            owner = r[c0:c0 + chunk]
-            # nan pads the last cell: no bracket, no zero
-            vals = np.full((len(owner), width), np.nan)
-            runs = np.flatnonzero(np.diff(node0)) + 1
-            for s, e in zip(np.r_[0, runs], np.r_[runs, len(owner)]):
-                sub = block[owner[s:e]]
-                nodes = row[:, node0[s]:node0[s] + width]
-                vals[s:e, :nodes.shape[1]] = rel.phi_vec(
-                    nodes, *(sub[:, c:c + 1] for c in range(4)))
+
+    def evaluate(block, start, level, pairs):
+        step = (width - 1) >> level
+        # the nodes of every cell of the level, one row each
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, step + 1)[::step]
+        chunk = max(1, SCAN_BUDGET // (4 * (step + 1)))
+        bits = shift + level
+        for c0 in range(0, len(pairs), chunk):
+            owner = pairs[c0:c0 + chunk] >> bits
+            cell = pairs[c0:c0 + chunk] & ((1 << bits) - 1)
+            sub = block[owner]
+            # one cell: its row broadcasts against every column
+            p = windows if len(windows) == 1 else windows[cell]
+            vals = np.broadcast_to(np.asarray(rel.phi_vec(
+                p, *(sub[:, k:k + 1] for k in range(4))), dtype=float),
+                (len(owner), step + 1))
             finite = np.isfinite(vals)
             change = vals[:, :-1] * vals[:, 1:] < 0.0
             if not finite.all():
                 change &= finite[:, :-1] & finite[:, 1:]
-            i, j = np.divmod(np.flatnonzero(change), width - 1)
-            found["b_owner"].append(owner[i] + start)
-            found["b_col"].append(node0[i] + j)
-            found["b_flo"].append(vals[i, j])
+            i, j = np.divmod(np.flatnonzero(change), step)
+            node = cell[i] * step + j
+            keep = node < last
+            found["b_owner"].append(owner[i][keep] + start)
+            found["b_col"].append(node[keep])
+            found["b_flo"].append(vals[i[keep], j[keep]])
             zero = vals == 0.0
             if zero.any():
-                i, j = np.divmod(np.flatnonzero(zero), width)
-                node = node0[i] + j
+                i, j = np.divmod(np.flatnonzero(zero), step + 1)
+                node = cell[i] * step + j
                 # a node two cells share counts in the cell it starts
-                once = (j < width - 1) | (node == last)
+                once = (node == last) | ((j < step) & (node < last))
                 found["z_owner"].append(owner[i][once] + start)
                 found["z_col"].append(node[once])
-    cat = {k: np.concatenate(v) for k, v in found.items()}
-    # by row, then by node: the order of a scan over every node
-    b = np.lexsort((cat["b_col"], cat["b_owner"]))
-    z = np.lexsort((cat["z_col"], cat["z_owner"]))
-    return grid, {k: v[b if k[0] == "b" else z] for k, v in cat.items()}
+
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows]
+        if program is None:
+            evaluate(block, start, 0, np.arange(len(block)))
+            continue
+        tree = _on_block(program, block.T)
+        # the coarse cells of every row bound as one (rows, roots) broadcast
+        need = _may_hold_zero(*_bound(tree, 0, np.s_[:, None],
+                                      np.s_[None, :]))
+        work = [(0, np.flatnonzero(np.broadcast_to(need,
+                                                   (len(block), roots))))]
+        while work:
+            level, pairs = work.pop()
+            if level < depth:
+                level += 1
+                children = np.repeat(pairs << 1, 2)
+                children[1::2] += 1
+                pairs = _kept(tree, level, children, shift + level)
+                # a split that clears a quarter of the children pays
+                if level < depth and 4 * len(pairs) <= 3 * len(children):
+                    # the first item pops first, so cells run in pair order
+                    work.extend((level, pairs[c:c + item]) for c in
+                                reversed(range(0, len(pairs), item)))
+                    continue
+            evaluate(block, start, level, pairs)
+    # blocks, work items and cells in ascending order leave the results by
+    # row, then by node: the order of a scan over every node
+    return grid, {k: np.concatenate(v) for k, v in found.items()}
 
 
 def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):

@@ -174,6 +174,7 @@ def solve_chunks(family, points, policy: BranchPolicy):
         yield solve_point(family, pts[start:start + CLOUD_CHUNK], policy)
 
 
+@np.errstate(all="ignore")
 def quadratic_identity_residual(super_rep, seed_reps, cross_reps, coeffs):
     """Normalized defect of the bilinear expansion of the superposed residual."""
     expected = 0.0

@@ -295,6 +295,9 @@ class TestMalformedValues:
          "sampling.box.x is too wide"),
         ({"branch": {"p_lo": -1e308, "p_hi": 1e308}},
          "scan interval p_lo..p_hi is too wide"),
+        *(({"tolerances": {"pass_fraction": f}},
+           "tolerances.pass_fraction must not exceed 1")
+          for f in (2.5, 10 ** 30, 1e308)),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -323,6 +326,34 @@ def test_violate_mode_honours_seed_residual(tmp_path, monkeypatch, capsys):
     raw["tolerances"] = {"seed_residual": 1e-17}
     assert main(["verify", write_scenario(tmp_path, raw)]) == 1
     assert "seeds do not solve the equation" in capsys.readouterr().out
+
+
+class TestNanFails:
+    """A check whose maximum or median is nan could not be computed: it
+    fails, and the run prints no floating-point warning."""
+
+    def test_nan_maximum_is_named(self, tmp_path, monkeypatch, capsys):
+        # superposing with 1e308 overflows the superposed residual's terms
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads(Path(scenario_path("shock_n2")).read_text())
+        raw.update(seeds=raw["seeds"][:1], coefficients=[1e308])
+        assert main(["verify", write_scenario(tmp_path, raw)]) == 1
+        out, err = capsys.readouterr()
+        assert "quadratic_identity   max nan" in out
+        assert "quadratic-form identity defect above tolerance" in out
+        assert "pass fraction too low" in out
+        assert err == ""
+
+    def test_nan_median_is_no_violation(self, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads(Path(scenario_path("general_unbalanced")).read_text())
+        raw["coefficients"] = [1e200, 1e200]
+        assert main(["verify", write_scenario(tmp_path, raw)]) == 1
+        out, err = capsys.readouterr()
+        assert "superposed_ghe       max nan  median nan" in out
+        assert "expected violation not observed" in out
+        assert err == ""
 
 
 class TestHaltonSampler:

@@ -1,5 +1,5 @@
-"""The cell scan finds the same brackets and grid zeros as a scan of every
-grid node, bit for bit, and evaluates only the cells its bound cannot
+"""The cell-tree scan finds the same brackets and grid zeros as a scan of
+every grid node, bit for bit, and evaluates only the cells its bound cannot
 clear."""
 
 import dataclasses
@@ -15,10 +15,13 @@ from heavenly import exprdsl
 from heavenly.cliapp import load_scenario
 from heavenly.implicitsolve import (
     SCAN_BUDGET,
-    SCAN_CELL,
+    SCAN_LEAF,
     BranchPolicy,
     ImplicitRelation,
     _cells,
+    _kept,
+    _on_block,
+    _on_cells,
     _scan,
     general_relation,
     relation_from_expr,
@@ -178,11 +181,14 @@ class TestSameBrackets:
                 return exprdsl.neg(tree(d - 1))
             return ops[rng.integers(len(ops))](tree(d - 1), tree(d - 1))
 
-        pts = cloud(200) - 0.5
+        # coordinates of mixed sign, all positive and all negative: a p-free
+        # factor of one sign on the block keeps or swaps the ends
+        clouds = [cloud(200) - 0.5, cloud(200) + 0.5, -0.5 - cloud(200)]
         for _ in range(60):
             rel = relation_from_expr(exprdsl.add(exprdsl.var("x"), tree(4)))
             assert bounded(rel)
-            assert_same_scan(rel, pts, BranchPolicy(p_lo=-3.0, p_hi=3.0))
+            for pts in clouds:
+                assert_same_scan(rel, pts, BranchPolicy(p_lo=-3.0, p_hi=3.0))
 
     def test_one_row_clouds(self):
         rel = general(Q="y*p^2/2", T="p^3 - p")
@@ -198,13 +204,14 @@ class TestCellWork:
         seen = []
 
         def counted(p, *cols):
-            seen.append(p.size * len(cols[0]))
+            seen.append(np.broadcast(p, *cols).size)
             return rel.phi_vec(p, *cols)
 
         pts = sc.points(count=2000, seed=1)
         with np.errstate(all="ignore"):
             _scan(dataclasses.replace(rel, phi_vec=counted), pts, sc.policy)
-        assert 0 < sum(seen) <= 2 * len(pts) * (SCAN_CELL + 1)
+        # twice the 33 nodes of one cell of the flat 32-interval scan
+        assert 0 < sum(seen) <= 2 * len(pts) * 33
 
     def test_uncleared_cells_stay_within_the_budget(self):
         # R_p = 1000*z*p - 1000*z*p is 0 on the grid, but its bound is as
@@ -215,7 +222,7 @@ class TestCellWork:
         seen = []
 
         def counted(p, *cols):
-            seen.append(p.size * len(cols[0]))
+            seen.append(np.broadcast(p, *cols).size)
             return rel.phi_vec(p, *cols)
 
         pts = cloud(600)
@@ -231,6 +238,54 @@ class TestCellWork:
                 tracemalloc.stop()
         # a block of every node, and its temporaries, is 4 * 512 KB
         assert peak <= 4 * SCAN_BUDGET * 8
+
+    def test_coarse_cells_all_held_leaves_cleared(self):
+        # Phi = x - cos(p): cos spans [-1, 1] on every coarse cell, so no
+        # coarse bound clears, yet the split cells do and phi_vec only sees
+        # leaves; several roots a point overflow one work item of pairs,
+        # and the cloud is more than one block
+        rel = general(T="-cos(p)")
+        pts = cloud(2500)
+        grid, starts, width, program = _cells(rel, BranchPolicy())
+        coarse = np.arange(len(pts) * len(starts))
+        with np.errstate(all="ignore"):
+            tree = _on_block(_on_cells(program, grid, len(starts), width),
+                             pts.T)
+            kept = _kept(tree, 0, coarse, (len(starts) - 1).bit_length())
+        assert np.array_equal(kept, coarse)
+        shapes = []
+
+        def counted(p, *cols):
+            shapes.append(np.broadcast(p, *cols).shape)
+            return rel.phi_vec(p, *cols)
+
+        found = assert_same_scan(rel, pts)
+        with np.errstate(all="ignore"):
+            _scan(dataclasses.replace(rel, phi_vec=counted), pts,
+                  BranchPolicy())
+        assert {nodes for _, nodes in shapes} == {SCAN_LEAF + 1}
+        assert len(found["b_owner"]) >= 6 * len(pts)
+        assert sum(n * k for n, k in shapes) <= 4 * len(found["b_owner"]) \
+            * (SCAN_LEAF + 1)
+
+    def test_descent_stops_where_splits_clear_nothing(self):
+        # R_p = 1000*z*p - 1000*z*p: a split halves the bound's width, yet
+        # it still holds 0, so the descent stops on wide cells and evaluates
+        # about every node once
+        rel = general(R="500*z*p^2 - 500*z*p^2")
+        shapes = []
+
+        def counted(p, *cols):
+            shapes.append(np.broadcast(p, *cols).shape)
+            return rel.phi_vec(p, *cols)
+
+        pts = cloud(300)
+        assert_same_scan(rel, pts)
+        with np.errstate(all="ignore"):
+            _scan(dataclasses.replace(rel, phi_vec=counted), pts,
+                  BranchPolicy())
+        assert min(nodes for _, nodes in shapes) > 8 * SCAN_LEAF + 1
+        assert sum(n * k for n, k in shapes) <= 1.1 * len(pts) * 1024
 
     def test_bound_built_once_per_relation(self, monkeypatch):
         rel = general(Q="y*p^2/2", T="p^3 - p")
@@ -249,9 +304,10 @@ class TestCellWork:
 
 
 # The bound reads the p-only terms on the full grid row and phi_vec
-# recomputes them on a cell's slice; the free-of-p terms likewise on a
-# block's column and on some of its rows.  Both rest on numpy giving each
-# element the same bits whatever the length, offset or stride around it.
+# recomputes them on the nodes of the cells it evaluates, gathered as a
+# (pairs, nodes) array; the free-of-p terms likewise on a block's rows and
+# on gathered (pairs, 1) columns.  Both rest on numpy giving each element
+# the same bits whatever the shape, length, offset or stride around it.
 _ELEMENTWISE = {name: getattr(np, name) for name in exprdsl.FUNCTIONS}
 _ELEMENTWISE.update({f"**{e}": (lambda v, e=e: v ** e)
                      for e in (2.0, 3.0, 4.0, 0.5, -1.0, -2.0, 1.5)})
@@ -260,17 +316,26 @@ _ELEMENTWISE.update({f"**{e}": (lambda v, e=e: v ** e)
 @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
 def test_elementwise_bits_on_slices(name):
     fn = _ELEMENTWISE[name]
-    row = np.linspace(-10.0, 10.0, 1024)[None, :]
+    grid = np.linspace(-10.0, 10.0, 1024)
+    row = grid[None, :]
     pts = halton_cloud(256, 2) * 3.0 - 1.5
     picked = np.flatnonzero(np.arange(256) % 3 == 1)
+    first = np.random.default_rng(3).integers(0, 1023, 300)
     with np.errstate(all="ignore"):
         for scale in (1.0, 0.37, 3.1, 71.0):
             full = fn(row * scale)
-            for start in range(0, 1023, SCAN_CELL):
-                part = fn(row[:, start:start + SCAN_CELL + 1] * scale)
-                assert np.array_equal(
-                    part, full[:, start:start + SCAN_CELL + 1],
-                    equal_nan=True), (scale, start)
+            for start in range(0, 1023, 32):
+                part = fn(row[:, start:start + 33] * scale)
+                assert np.array_equal(part, full[:, start:start + 33],
+                                      equal_nan=True), (scale, start)
+            for step in (SCAN_LEAF, 2 * SCAN_LEAF, 128):
+                nodes = np.minimum(first[:, None] + np.arange(step + 1),
+                                   1023)
+                assert np.array_equal(fn(grid[nodes] * scale),
+                                      full[0][nodes], equal_nan=True), \
+                    (scale, step)
             column = fn(pts[:, 2:3] * scale)
             some = fn(pts[picked][:, 2:3] * scale)
             assert np.array_equal(some, column[picked], equal_nan=True)
+            lanes = fn(pts[:, 2] * scale)
+            assert np.array_equal(lanes[picked], some[:, 0], equal_nan=True)

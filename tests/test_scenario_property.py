@@ -14,7 +14,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -73,9 +72,6 @@ def run_verify(raw):
     return code, err.getvalue()
 
 
-# huge finite coefficients and constants overflow and warn; the subject
-# here is the exit code
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=st.sampled_from(CASES), value=st.sampled_from(POOL))
 @example(case=(SHOCK, ("branch", "selection")), value=10 ** 30)
