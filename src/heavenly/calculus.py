@@ -1,8 +1,10 @@
 """Closed-form field derivatives and residuals over point clouds.
 
-All first derivatives of (p, q, r) come from the implicit function theorem
-applied to the family's hodograph relation; every formula here is certified
-against the finite-difference oracle in fdoracle.py.
+All first derivatives of (p, q, r) come from one implicit-function-theorem
+step, _implicit, fed by each family's table of partials of its hodograph
+relation and of q and r; fdoracle.py certifies them by finite differences.
+Every equation residual and balance term comes from one table, BRACKETS,
+of the Poisson brackets of the general heavenly equation.
 
 Partials are evaluated with numpy's floating-point warnings off: an infinite
 or nan partial is a value the callers test for, not an error.
@@ -81,12 +83,26 @@ class ResidualReport:
 # Derivative formulas
 # ---------------------------------------------------------------------------
 
-def _sample(point, proot, values, D, report) -> FieldSample:
-    """FieldSample from lane arrays, one lane per row of the cloud."""
+def _implicit(point, p, report, D, phi, q, r) -> FieldSample:
+    """The implicit function theorem on Phi(p; x, y, z, t) = 0, Phi_x = 1.
+
+    D is Phi_p and phi is (Phi_y, Phi_z, Phi_t), so p_a = -Phi_a / D.  q
+    holds (q, q_p, d_y q) and r holds (r, r_p, d_z r), the explicit
+    partials of q(p, y) and r(p, z), so q_a = d_a q + q_p p_a and likewise
+    for r.  One lane per row of the cloud.
+    """
+    n = len(p)
+    D = lanes(D, n)
     if np.any(np.abs(D) < EPS_DEGENERATE):
         raise DegenerateSampleError(f"degenerate relation derivative "
                                     f"|D|={np.min(np.abs(D)):.3e}")
-    n = len(proot)
+    (q, q_p, q_dy), (r, r_p, r_dz) = q, r
+    p_x = -1.0 / D
+    p_y, p_z, p_t = (-phi_a / D for phi_a in phi)
+    values = dict(p=p, q=q, r=r, p_x=p_x, p_y=p_y, p_z=p_z, p_t=p_t,
+                  q_x=q_p * p_x, q_y=q_dy + q_p * p_y, q_t=q_p * p_t,
+                  r_x=r_p * p_x, r_y=r_p * p_y, r_z=r_dz + r_p * p_z,
+                  r_t=r_p * p_t)
     return FieldSample(point=as_cloud(point), report=report,
                        **{name: lanes(v, n) for name, v in values.items()})
 
@@ -101,37 +117,17 @@ def shock_derivatives(sdef, shared, point, proot,
     (x, y, z, t), p = cloud_lanes(point, proot)
     F0 = sdef.F.compiled((0,))(p)
     F1 = sdef.F.compiled((1,))(p)
-    F2 = sdef.F.compiled((2,))(p)
-    G1 = sdef.G.compiled((1,))(p)
-    al1 = shared.alpha.compiled((1,))(t)
     be1 = shared.beta.compiled((1,))(y)
-    be2 = shared.beta.compiled((2,))(y)
     de1 = shared.delta.compiled((1,))(z)
-    de2 = shared.delta.compiled((2,))(z)
-    m0 = sdef.m.compiled((0,))(y)
-    m1 = sdef.m.compiled((1,))(y)
-    n0 = sdef.n.compiled((0,))(z)
-    n1 = sdef.n.compiled((1,))(z)
     S = (shared.alpha.compiled((0,))(t) + shared.beta.compiled((0,))(y)
          + shared.delta.compiled((0,))(z))
-
-    D = lanes(S * F2 + G1, len(p))
-    p_x = -1.0 / D
-    p_y = -be1 * F1 / D
-    p_z = -de1 * F1 / D
-    p_t = -al1 * F1 / D
-    return _sample(point, p, dict(
-        p=p,
-        q=m0 + be1 * F0,
-        r=n0 + de1 * F0,
-        p_x=p_x, p_y=p_y, p_z=p_z, p_t=p_t,
-        q_x=be1 * F1 * p_x,
-        q_y=m1 + be2 * F0 + be1 * F1 * p_y,
-        q_t=be1 * F1 * p_t,
-        r_x=de1 * F1 * p_x,
-        r_y=de1 * F1 * p_y,
-        r_z=n1 + de2 * F0 + de1 * F1 * p_z,
-        r_t=de1 * F1 * p_t), D, report)
+    D = S * sdef.F.compiled((2,))(p) + sdef.G.compiled((1,))(p)
+    phi = (be1 * F1, de1 * F1, shared.alpha.compiled((1,))(t) * F1)
+    q = (sdef.m.compiled((0,))(y) + be1 * F0, be1 * F1,
+         sdef.m.compiled((1,))(y) + shared.beta.compiled((2,))(y) * F0)
+    r = (sdef.n.compiled((0,))(z) + de1 * F0, de1 * F1,
+         sdef.n.compiled((1,))(z) + shared.delta.compiled((2,))(z) * F0)
+    return _implicit(point, p, report, D, phi, q, r)
 
 
 @np.errstate(all="ignore")
@@ -143,33 +139,13 @@ def general_derivatives(gdef, point, proot, report=None) -> FieldSample:
     """
     (x, y, z, t), p = cloud_lanes(point, proot)
     Q12 = gdef.Q.compiled((1, 1))(p, y)
-    Q2 = gdef.Q.compiled((0, 1))(p, y)
-    Q22 = gdef.Q.compiled((0, 2))(p, y)
-    Q11 = gdef.Q.compiled((2, 0))(p, y)
     R12 = gdef.R.compiled((1, 1))(p, z)
-    R2 = gdef.R.compiled((0, 1))(p, z)
-    R22 = gdef.R.compiled((0, 2))(p, z)
-    R11 = gdef.R.compiled((2, 0))(p, z)
-    T1 = gdef.T.compiled((1, 0))(p, t)
-    T2 = gdef.T.compiled((0, 1))(p, t)
-
-    D = lanes(Q11 + R11 + T1, len(p))
-    p_x = -1.0 / D
-    p_y = -Q12 / D
-    p_z = -R12 / D
-    p_t = -T2 / D
-    return _sample(point, p, dict(
-        p=p,
-        q=Q2,
-        r=R2,
-        p_x=p_x, p_y=p_y, p_z=p_z, p_t=p_t,
-        q_x=Q12 * p_x,
-        q_y=Q22 + Q12 * p_y,
-        q_t=Q12 * p_t,
-        r_x=R12 * p_x,
-        r_y=R12 * p_y,
-        r_z=R22 + R12 * p_z,
-        r_t=R12 * p_t), D, report)
+    D = (gdef.Q.compiled((2, 0))(p, y) + gdef.R.compiled((2, 0))(p, z)
+         + gdef.T.compiled((1, 0))(p, t))
+    phi = (Q12, R12, gdef.T.compiled((0, 1))(p, t))
+    q = (gdef.Q.compiled((0, 1))(p, y), Q12, gdef.Q.compiled((0, 2))(p, y))
+    r = (gdef.R.compiled((0, 1))(p, z), R12, gdef.R.compiled((0, 2))(p, z))
+    return _implicit(point, p, report, D, phi, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +160,30 @@ def _scale(*terms):
     return out
 
 
+# The equation a {r, p}_{yt} + b {r, q}_{xt} = 0 as (coefficient, f, g,
+# u, v) for each term c {f, g}_{uv} = c (f_u g_v - f_v g_u).
+BRACKETS = (("a", "r", "p", "y", "t"), ("b", "r", "q", "x", "t"))
+
+
 @np.errstate(all="ignore")
+def _bracket_residual(shared, *pairs) -> ResidualReport:
+    """The brackets of BRACKETS, each with f from the first and g from the
+    second sample of every pair, summed in that order."""
+    terms, value = [], None
+    for coef, f, g, u, v in BRACKETS:
+        c = getattr(shared, coef)
+        for sf, sg in pairs:
+            left = c * getattr(sf, f"{f}_{u}") * getattr(sg, f"{g}_{v}")
+            right = c * getattr(sf, f"{f}_{v}") * getattr(sg, f"{g}_{u}")
+            terms += (left, right)
+            # no 0.0 start: 0.0 + -0.0 would change the sign of a zero
+            value = left - right if value is None else value + (left - right)
+    return ResidualReport(value=value, scale=_scale(*terms))
+
+
 def ghe_residual(s: FieldSample, shared) -> ResidualReport:
     """Field-form equation residual a{r,p}_{yt} + b{r,q}_{xt}."""
-    a, b = shared.a, shared.b
-    t1 = a * s.r_y * s.p_t
-    t2 = a * s.r_t * s.p_y
-    t3 = b * s.r_x * s.q_t
-    t4 = b * s.r_t * s.q_x
-    value = (t1 - t2) + (t3 - t4)
-    return ResidualReport(value=value, scale=_scale(t1, t2, t3, t4))
+    return _bracket_residual(shared, (s, s))
 
 
 def compat_residuals(s: FieldSample):
@@ -202,19 +192,10 @@ def compat_residuals(s: FieldSample):
             ResidualReport(value=s.p_z - s.r_x, scale=_scale(s.p_z, s.r_x)))
 
 
-def _cross_terms(si: FieldSample, sj: FieldSample, a: float, b: float):
-    """Terms of a{r_j,p_i}_{yt}+a{r_i,p_j}_{yt}+b{r_j,q_i}_{xt}+b{r_i,q_j}_{xt}."""
-    return (a * sj.r_y * si.p_t, a * sj.r_t * si.p_y,
-            a * si.r_y * sj.p_t, a * si.r_t * sj.p_y,
-            b * sj.r_x * si.q_t, b * sj.r_t * si.q_x,
-            b * si.r_x * sj.q_t, b * si.r_t * sj.q_x)
-
-
 def pairwise_balance(si: FieldSample, sj: FieldSample, shared) -> ResidualReport:
-    """Two-solution balance condition (the superposition cross term)."""
-    t = _cross_terms(si, sj, shared.a, shared.b)
-    value = (t[0] - t[1]) + (t[2] - t[3]) + (t[4] - t[5]) + (t[6] - t[7])
-    return ResidualReport(value=value, scale=_scale(*t))
+    """Two-solution balance condition (the superposition cross term):
+    a{r_j,p_i}_{yt} + a{r_i,p_j}_{yt} + b{r_j,q_i}_{xt} + b{r_i,q_j}_{xt}."""
+    return _bracket_residual(shared, (sj, si), (si, sj))
 
 
 def n_term_balance(samples, shared) -> ResidualReport:

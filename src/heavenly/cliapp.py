@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -501,7 +501,7 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     return _verdict(failures, {
         "schema_version": REPORT_SCHEMA_VERSION, "command": "verify",
         "scenario": scenario.name, "expect": scenario.expect,
-        "tolerances": tol, "report": report.to_dict()})
+        "tolerances": tol, "report": asdict(report)})
 
 
 def csv_header(n_seeds: int) -> list:
@@ -686,11 +686,17 @@ def main(argv=None) -> int:
             _tolerance(args.tol, "--tol")
         scenario = load_scenario(args.scenario)
         code, payload = _COMMANDS[args.command](scenario, args)
+        _write_report(args.report or f"{Path(args.scenario).stem}.report.json",
+                      payload)
     except (ScenarioError, ExprError, FamilyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    report_path = args.report or f"{Path(args.scenario).stem}.report.json"
-    _write_report(report_path, payload)
+    except OSError as exc:
+        # load_scenario turns a read error into a ScenarioError, so this is
+        # the report or the sample CSV (a failed write names no file)
+        print(f"configuration error: cannot write {exc.filename or 'output'}"
+              f": {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -486,7 +486,9 @@ def to_source(e: Expr) -> str:
 
     def wrap(child: Expr, minimum: int) -> str:
         s = to_source(child)
-        if _PREC[child.kind] < minimum:
+        # a negative constant prints with a leading minus: it binds as neg
+        negative = child.kind == "const" and s.startswith("-")
+        if _PREC["neg" if negative else child.kind] < minimum:
             return f"({s})"
         return s
 

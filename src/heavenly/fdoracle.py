@@ -18,7 +18,7 @@ from .implicitsolve import FOLD_TOL, SCAN_BUDGET, ImplicitRelation, \
     as_cloud, lanes, solve_on_sheet
 
 AXES = ("x", "y", "z", "t")
-DEFAULT_H_SCALE = 1e-3
+H_SCALE = 1e-3                      # step h = H_SCALE (1 + |coordinate|)
 OFFSETS = (1.0, -1.0, 2.0, -2.0)    # stencil offsets in units of h
 # Stencil rows axis by axis, offsets in units of that axis' h.
 _STENCIL = np.kron(np.eye(len(AXES)), np.array(OFFSETS)[:, None])
@@ -55,13 +55,12 @@ class CertReport:
 
 
 def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
-                   index: int, h_scale: float = DEFAULT_H_SCALE,
-                   near_fold: float = FOLD_TOL) -> CertReport:
+                   index: int) -> CertReport:
     """Compare every closed-form partial of a sample against the oracle.
 
     sample is a cloud sample, as solve_point returns them.  The
     deviation is |fd - analytic| / (1 + |analytic|).  Lanes with |D| below
-    near_fold are skipped: the implicit-function-theorem formulas blow up
+    FOLD_TOL are skipped: the implicit-function-theorem formulas blow up
     at shocks by construction.  The 16 stencil points of a lane (4 axes x
     offsets +-h, +-2h) are solved on its sheet, seeded with its root; each
     solve gives p, q and r, and a lane with a non-finite stencil value is
@@ -72,7 +71,7 @@ def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
     points = as_cloud(sample.point)
     n = len(points)
     skip = np.zeros(n, dtype=bool) if sample.report is None else \
-        np.abs(lanes(sample.report.deriv, n)) < near_fold
+        np.abs(lanes(sample.report.deriv, n)) < FOLD_TOL
     todo = np.flatnonzero(~skip)
     roots = lanes(sample.p, n)
     analytic = [lanes(getattr(sample, name), n) for name, _, _ in _PARTIALS]
@@ -82,7 +81,7 @@ def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
     for start in range(0, len(todo), block):
         k = todo[start:start + block]
         point = points[k]
-        h = h_scale * (1.0 + np.abs(point))
+        h = H_SCALE * (1.0 + np.abs(point))
         stencil = (point[:, None] + _STENCIL * h[:, None]).reshape(
             -1, len(AXES))
         p = solve_on_sheet(rel, stencil, np.repeat(roots[k], len(_STENCIL)))

@@ -36,6 +36,7 @@ TOL_REL = 1e-12
 EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
+SHEET_MAX_ITER = 60      # Newton steps of solve_on_sheet
 # Scan values alive at once, up to a small factor (see _scan): a one-cell
 # grid is evaluated SCAN_BUDGET // (4 * resolution) cloud rows at a time.
 # A constant, so results never depend on the cloud size.
@@ -575,8 +576,7 @@ def enumerate_roots(rel: ImplicitRelation, points,
                      converged=converged, points=pts).take(order)
 
 
-def solve_on_sheet(rel: ImplicitRelation, points, seed,
-                   max_iter: int = 60) -> np.ndarray:
+def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:
     """Newton from a seed root, staying on the seed's branch.
 
     Used by the finite-difference oracle so stencil evaluations do not hop
@@ -592,7 +592,7 @@ def solve_on_sheet(rel: ImplicitRelation, points, seed,
     live = np.ones(n, dtype=bool)
     failed = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(SHEET_MAX_ITER):
             f = lanes(rel.phi(p, *cols), n)
             finite = np.isfinite(f)
             failed |= live & ~finite

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprdsl
-from .exprdsl import Expr, ExprError, SmoothFn
+from . import calculus, implicitsolve
+from .exprdsl import SmoothFn
 from .implicitsolve import cloud_lanes, lanes
 
 
@@ -125,10 +125,11 @@ def _probe(compiled, arity, attr, orders):
             f"'{attr}' not evaluable at any probe point")
 
 
-class ShockFamily:
-    """Built shock family; immutable after construction."""
+class _Family:
+    """A built family of seeds over one shared profile; immutable after
+    construction, but for its cache of relations."""
 
-    kind = "shock"
+    shared_plan = {}
 
     def __init__(self, defs, shared: SharedProfile):
         if not defs:
@@ -136,10 +137,11 @@ class ShockFamily:
         self.defs = tuple(defs)
         self.shared = shared
         for d in self.defs:
-            if not isinstance(d, ShockSolutionDef):
-                raise FamilyError("shock family needs ShockSolutionDef seeds")
-            _precompute(d, _SHOCK_PRECOMPUTE)
-        _precompute(shared, _SHARED_PRECOMPUTE)
+            if not isinstance(d, self.seed_type):
+                raise FamilyError(f"{self.kind} family needs "
+                                  f"{self.seed_type.__name__} seeds")
+            _precompute(d, self.plan)
+        _precompute(shared, self.shared_plan)
         self._relations = {}
 
     @property
@@ -147,15 +149,25 @@ class ShockFamily:
         return len(self.defs)
 
     def relation(self, i: int):
-        from .implicitsolve import shock_relation
         if i not in self._relations:
-            self._relations[i] = shock_relation(self.defs[i], self.shared)
+            self._relations[i] = self._relation(self.defs[i])
         return self._relations[i]
 
+
+class ShockFamily(_Family):
+    """Built shock family."""
+
+    kind = "shock"
+    seed_type = ShockSolutionDef
+    plan = _SHOCK_PRECOMPUTE
+    shared_plan = _SHARED_PRECOMPUTE
+
+    def _relation(self, d):
+        return implicitsolve.shock_relation(d, self.shared)
+
     def sample(self, i: int, point, proot, report=None):
-        from .calculus import shock_derivatives
-        return shock_derivatives(self.defs[i], self.shared, point, proot,
-                                 report=report)
+        return calculus.shock_derivatives(self.defs[i], self.shared, point,
+                                          proot, report=report)
 
     def values(self, i: int, point, proot):
         """(p, q, r) values only, no implicit-function-theorem division.
@@ -170,35 +182,19 @@ class ShockFamily:
         return p, lanes(q, len(p)), lanes(r, len(p))
 
 
-class GeneralFamily:
-    """Built general hodograph family; immutable after construction."""
+class GeneralFamily(_Family):
+    """Built general hodograph family."""
 
     kind = "general"
+    seed_type = GeneralSolutionDef
+    plan = _GENERAL_PRECOMPUTE
 
-    def __init__(self, defs, shared: SharedProfile):
-        if not defs:
-            raise FamilyError("empty family")
-        self.defs = tuple(defs)
-        self.shared = shared
-        for d in self.defs:
-            if not isinstance(d, GeneralSolutionDef):
-                raise FamilyError("general family needs GeneralSolutionDef seeds")
-            _precompute(d, _GENERAL_PRECOMPUTE)
-        self._relations = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.defs)
-
-    def relation(self, i: int):
-        from .implicitsolve import general_relation
-        if i not in self._relations:
-            self._relations[i] = general_relation(self.defs[i])
-        return self._relations[i]
+    def _relation(self, d):
+        return implicitsolve.general_relation(d)
 
     def sample(self, i: int, point, proot, report=None):
-        from .calculus import general_derivatives
-        return general_derivatives(self.defs[i], point, proot, report=report)
+        return calculus.general_derivatives(self.defs[i], point, proot,
+                                            report=report)
 
     def values(self, i: int, point, proot):
         (x, y, z, t), p = cloud_lanes(point, proot)
@@ -215,69 +211,3 @@ def build_shock_family(defs, shared: SharedProfile) -> ShockFamily:
 def build_general_family(defs, shared: SharedProfile) -> GeneralFamily:
     return GeneralFamily(defs, shared)
 
-
-# ---------------------------------------------------------------------------
-# Shock -> general embedding (polynomial m only)
-# ---------------------------------------------------------------------------
-
-def polynomial_antiderivative(e: Expr, wrt: str) -> Expr:
-    """Antiderivative of a polynomial AST in `wrt` (constant of integration 0).
-
-    Handles constants, the variable, sums/differences, negation, products
-    with a factor free of `wrt`, integer powers of the variable, and
-    division by constants.  Anything else raises ExprError.
-    """
-    k = e.kind
-    x = exprdsl.var(wrt)
-    if wrt not in exprdsl.free_variables(e):
-        return exprdsl.mul(e, x)
-    if k == "var":
-        return exprdsl.div(exprdsl.pow_(x, exprdsl.const(2.0)),
-                           exprdsl.const(2.0))
-    if k == "neg":
-        return exprdsl.neg(polynomial_antiderivative(e.args[0], wrt))
-    if k in ("add", "sub"):
-        a = polynomial_antiderivative(e.args[0], wrt)
-        b = polynomial_antiderivative(e.args[1], wrt)
-        return exprdsl.add(a, b) if k == "add" else exprdsl.sub(a, b)
-    if k == "mul":
-        a, b = e.args
-        if wrt not in exprdsl.free_variables(a):
-            return exprdsl.mul(a, polynomial_antiderivative(b, wrt))
-        if wrt not in exprdsl.free_variables(b):
-            return exprdsl.mul(polynomial_antiderivative(a, wrt), b)
-        raise ExprError("not a polynomial in " + wrt)
-    if k == "div":
-        a, b = e.args
-        if wrt not in exprdsl.free_variables(b):
-            return exprdsl.div(polynomial_antiderivative(a, wrt), b)
-        raise ExprError("not a polynomial in " + wrt)
-    if k == "pow":
-        base, expo = e.args
-        if (base.kind == "var" and base.name == wrt and expo.kind == "const"
-                and float(expo.value).is_integer() and expo.value >= 0):
-            np1 = expo.value + 1.0
-            return exprdsl.div(exprdsl.pow_(x, exprdsl.const(np1)),
-                               exprdsl.const(np1))
-        raise ExprError("not a polynomial in " + wrt)
-    raise ExprError("not a polynomial in " + wrt)
-
-
-def shock_def_as_general(sdef: ShockSolutionDef,
-                         shared: SharedProfile) -> GeneralSolutionDef:
-    """Embed a shock seed into the general family.
-
-    Q(p,y) = M(y) + beta(y) F(p) with M' = m (m must be polynomial in y),
-    R(p,z) = N(z) + delta(z) F(p) with N' = n (n polynomial in z),
-    T(p,t) = alpha(t) F'(p) + G(p).
-    """
-    M = polynomial_antiderivative(sdef.m.expr, "y")
-    N = polynomial_antiderivative(sdef.n.expr, "z")
-    Fp = sdef.F.expr
-    Q = exprdsl.add(M, exprdsl.mul(shared.beta.expr, Fp))
-    R = exprdsl.add(N, exprdsl.mul(shared.delta.expr, Fp))
-    T = exprdsl.add(exprdsl.mul(shared.alpha.expr, sdef.F.partial(1)),
-                    sdef.G.expr)
-    return GeneralSolutionDef(Q=SmoothFn(Q, ("p", "y")),
-                              R=SmoothFn(R, ("p", "z")),
-                              T=SmoothFn(T, ("p", "t")))

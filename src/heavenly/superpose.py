@@ -82,17 +82,6 @@ class TheoremReport:
     pass_fraction: float         # superposed GHE residual <= threshold
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "n_admissible": self.n_admissible,
-            "n_holes": self.n_holes,
-            "n_folds": self.n_folds,
-            "checks": self.checks,
-            "pass_fraction": self.pass_fraction,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True)
 class CloudSolution:

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from heavenly import exprdsl
 from heavenly.cliapp import scrambled_halton
-from heavenly.exprdsl import SmoothFn
+from heavenly.exprdsl import Expr, ExprError, SmoothFn
 from heavenly.registry import (
     GeneralSolutionDef,
     SharedProfile,
@@ -86,3 +87,70 @@ def random_shock_family(rng, n_seeds):
 
 def halton_cloud(count, seed):
     return scrambled_halton(count, seed, BOX_LOWS, BOX_HIGHS)
+
+
+# ---------------------------------------------------------------------------
+# Shock -> general embedding (polynomial m only)
+# ---------------------------------------------------------------------------
+
+def polynomial_antiderivative(e: Expr, wrt: str) -> Expr:
+    """Antiderivative of a polynomial AST in `wrt` (constant of integration 0).
+
+    Handles constants, the variable, sums/differences, negation, products
+    with a factor free of `wrt`, integer powers of the variable, and
+    division by constants.  Anything else raises ExprError.
+    """
+    k = e.kind
+    x = exprdsl.var(wrt)
+    if wrt not in exprdsl.free_variables(e):
+        return exprdsl.mul(e, x)
+    if k == "var":
+        return exprdsl.div(exprdsl.pow_(x, exprdsl.const(2.0)),
+                           exprdsl.const(2.0))
+    if k == "neg":
+        return exprdsl.neg(polynomial_antiderivative(e.args[0], wrt))
+    if k in ("add", "sub"):
+        a = polynomial_antiderivative(e.args[0], wrt)
+        b = polynomial_antiderivative(e.args[1], wrt)
+        return exprdsl.add(a, b) if k == "add" else exprdsl.sub(a, b)
+    if k == "mul":
+        a, b = e.args
+        if wrt not in exprdsl.free_variables(a):
+            return exprdsl.mul(a, polynomial_antiderivative(b, wrt))
+        if wrt not in exprdsl.free_variables(b):
+            return exprdsl.mul(polynomial_antiderivative(a, wrt), b)
+        raise ExprError("not a polynomial in " + wrt)
+    if k == "div":
+        a, b = e.args
+        if wrt not in exprdsl.free_variables(b):
+            return exprdsl.div(polynomial_antiderivative(a, wrt), b)
+        raise ExprError("not a polynomial in " + wrt)
+    if k == "pow":
+        base, expo = e.args
+        if (base.kind == "var" and base.name == wrt and expo.kind == "const"
+                and float(expo.value).is_integer() and expo.value >= 0):
+            np1 = expo.value + 1.0
+            return exprdsl.div(exprdsl.pow_(x, exprdsl.const(np1)),
+                               exprdsl.const(np1))
+        raise ExprError("not a polynomial in " + wrt)
+    raise ExprError("not a polynomial in " + wrt)
+
+
+def shock_def_as_general(sdef: ShockSolutionDef,
+                         shared: SharedProfile) -> GeneralSolutionDef:
+    """Embed a shock seed into the general family.
+
+    Q(p,y) = M(y) + beta(y) F(p) with M' = m (m must be polynomial in y),
+    R(p,z) = N(z) + delta(z) F(p) with N' = n (n polynomial in z),
+    T(p,t) = alpha(t) F'(p) + G(p).
+    """
+    M = polynomial_antiderivative(sdef.m.expr, "y")
+    N = polynomial_antiderivative(sdef.n.expr, "z")
+    Fp = sdef.F.expr
+    Q = exprdsl.add(M, exprdsl.mul(shared.beta.expr, Fp))
+    R = exprdsl.add(N, exprdsl.mul(shared.delta.expr, Fp))
+    T = exprdsl.add(exprdsl.mul(shared.alpha.expr, sdef.F.partial(1)),
+                    sdef.G.expr)
+    return GeneralSolutionDef(Q=SmoothFn(Q, ("p", "y")),
+                              R=SmoothFn(R, ("p", "z")),
+                              T=SmoothFn(T, ("p", "t")))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from _families import halton_cloud, quadratic_shock_def, random_shock_family, \
-    second_shock_def, simple_shared
+    second_shock_def, shock_def_as_general, simple_shared
 from heavenly.calculus import (
     compat_residuals,
     ghe_residual,
@@ -24,7 +24,7 @@ from heavenly.calculus import (
 from heavenly.cliapp import load_scenario, main
 from heavenly.fdoracle import OFFSETS, _richardson, certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
-from heavenly.registry import build_shock_family, shock_def_as_general
+from heavenly.registry import build_shock_family
 from heavenly.superpose import solve_point, verify_theorem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

@@ -196,6 +196,19 @@ class TestResiduals:
         shared = simple_shared(a=2.0, b=-3.0)
         assert s.q_x * s.p_t - s.q_t * s.p_x == 8.0
         assert ghe_residual(s, shared).value == 2.0 * 5.0 - 3.0 * -8.0
+        # the pair's cross term is what superposing adds to the residual:
+        # {r2,p}_{yt} + {r,p2}_{yt} = 13 - 30 and {r2,q}_{xt} + {r,q2}_{xt}
+        # = -19 - 7, while {q2,p}_{xt} + {q,p2}_{xt} = 5 - 19 would give 8
+        s2 = FieldSample(p=0.0, q=0.0, r=0.0, p_x=2.0, p_y=1.0, p_z=0.0,
+                         p_t=-1.0, q_x=3.0, q_y=0.0, q_t=4.0, r_x=-2.0,
+                         r_y=5.0, r_z=0.0, r_t=1.0)
+        cross = (ghe_residual(superpose([s, s2], [1, 1]), shared).value
+                 - ghe_residual(s, shared).value
+                 - ghe_residual(s2, shared).value)
+        assert pairwise_balance(s, s2, shared).value == cross == \
+            2.0 * (13.0 - 30.0) - 3.0 * (-19.0 - 7.0)
+        qp = [a.q_x * b.p_t - a.q_t * b.p_x for a, b in ((s2, s), (s, s2))]
+        assert 2.0 * (13.0 - 30.0) - 3.0 * sum(qp) == 8.0
 
     def test_residual_scales_quadratically(self):
         samples, shared = self._samples(10)
@@ -279,7 +292,7 @@ class TestReducedBalance:
         assert rep.value == 0.0
 
     def test_embedded_shock_pair_balances(self):
-        from heavenly.registry import shock_def_as_general
+        from _families import shock_def_as_general
         shared = simple_shared()
         poly_second = ShockSolutionDef(F=sf("p^2", ("p",)),
                                        G=sf("0", ("p",)),

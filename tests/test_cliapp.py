@@ -134,6 +134,23 @@ class TestCommands:
         path = write_scenario(tmp_path, bad)
         assert main(["verify", path]) == 2
 
+    def test_unwritable_report_exit_two(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        assert main(["verify", scenario_path("shock_n2"), "--points", "20",
+                     "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {report}")
+        assert "Traceback" not in err
+
+    def test_unwritable_csv_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sample", scenario_path("shock_n2"), "--points", "20",
+                     "--out", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out}")
+        assert not (tmp_path / "r.json").exists()
+
     def test_balance_shock(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["balance", scenario_path("shock_n3"),

@@ -226,9 +226,17 @@ def test_random_exprs_derivative_matches_central_difference():
 
 
 def test_parse_print_parse_idempotent():
+    variables = ("p", "y")
+    # a negative constant as the base of ^ keeps its parentheses; the base
+    # is negative, so compare at integer exponents
+    for source in ("(-2)^p", "p*(-2.5)^p", "(-2)^(-p)"):
+        e1 = parse(source, variables)
+        e2 = parse(to_source(e1), variables)
+        for p in (-2.0, 2.0, 3.0):
+            point = {"p": p, "y": 0.0}
+            assert evaluate(e2, point) == evaluate(e1, point), source
     rng = random.Random(99)
     for _ in range(300):
-        variables = ("p", "y")
         source = _random_expr(rng, variables, depth=rng.randint(1, 5))
         e1 = parse(source, variables)
         e2 = parse(to_source(e1), variables)

@@ -1,6 +1,7 @@
 import pytest
 
-from _families import quadratic_shock_def, second_shock_def, sf, simple_shared
+from _families import polynomial_antiderivative, quadratic_shock_def, \
+    second_shock_def, sf, shock_def_as_general, simple_shared
 from heavenly.exprdsl import ExprError, evaluate
 from heavenly.implicitsolve import enumerate_roots
 from heavenly.registry import (
@@ -10,8 +11,6 @@ from heavenly.registry import (
     ShockSolutionDef,
     build_general_family,
     build_shock_family,
-    polynomial_antiderivative,
-    shock_def_as_general,
 )
 
 

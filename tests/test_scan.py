@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _families import halton_cloud, random_shock_family, sf
+from _families import halton_cloud, random_shock_family, sf, \
+    shock_def_as_general
 from _scan_reference import full_scan
 from heavenly import exprdsl
 from heavenly.cliapp import load_scenario
@@ -31,7 +32,6 @@ from heavenly.registry import (
     GeneralSolutionDef,
     SharedProfile,
     ShockSolutionDef,
-    shock_def_as_general,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
