@@ -57,14 +57,6 @@ class FieldSample:
                      "q_x", "q_y", "q_t",
                      "r_x", "r_y", "r_z", "r_t")
 
-    def lane(self, k: int) -> "FieldSample":
-        """The one-row cloud sample at lane k."""
-        rows = slice(k, k + 1)
-        report = None if self.report is None else self.report.take(rows)
-        return FieldSample(point=self.point[rows], report=report,
-                           **{name: getattr(self, name)[rows]
-                              for name in FIELD_NAMES})
-
 
 FIELD_NAMES = ("p", "q", "r") + FieldSample.PARTIAL_NAMES
 

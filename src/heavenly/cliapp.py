@@ -12,8 +12,11 @@ Commands: verify | sample | balance | fdcheck.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -435,9 +438,23 @@ def _fmt(v) -> str:
     return f"{v:.3e}"
 
 
-def _write_report(path, payload):
-    path = Path(path)
+def _write_report(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _check_writable(path: Path):
+    """Raise the OSError that writing path would raise for want of a
+    writable directory, before any work is spent."""
+    parent = path.parent
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _tolerances(scenario: Scenario, args) -> dict:
@@ -684,10 +701,12 @@ def main(argv=None) -> int:
             _check_seed(args.seed, "--seed")
         if args.tol is not None:
             _tolerance(args.tol, "--tol")
+        report = Path(args.report
+                      or f"{Path(args.scenario).stem}.report.json")
+        _check_writable(report)
         scenario = load_scenario(args.scenario)
         code, payload = _COMMANDS[args.command](scenario, args)
-        _write_report(args.report or f"{Path(args.scenario).stem}.report.json",
-                      payload)
+        _write_report(report, payload)
     except (ScenarioError, ExprError, FamilyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -700,5 +719,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> int:
+    """The process entry of `ghe`: main, after freezing the heap.
+
+    gc.freeze moves every object built so far, numpy and heavenly at
+    import, to a generation that no collection walks, so the interpreter's
+    last collection at exit skips them.  main itself stays free of
+    process-wide effects, because tests and library callers run it many
+    times in one process.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -3,6 +3,7 @@
 import numpy as np
 
 from heavenly import exprdsl
+from heavenly.calculus import FIELD_NAMES, FieldSample
 from heavenly.cliapp import scrambled_halton
 from heavenly.exprdsl import Expr, ExprError, SmoothFn
 from heavenly.registry import (
@@ -52,6 +53,15 @@ def unbalanced_general_pair():
                             R=sf("p^2*z/2", ("p", "z")),
                             T=sf("p*t", ("p", "t")))
     return g1, g2
+
+
+def take_lanes(sample: FieldSample, rows) -> FieldSample:
+    """The cloud sample of the given lanes, in that order: [k] is the
+    one-row cloud at lane k."""
+    report = None if sample.report is None else sample.report.take(rows)
+    return FieldSample(point=sample.point[rows], report=report,
+                       **{name: getattr(sample, name)[rows]
+                          for name in FIELD_NAMES})
 
 
 def random_polynomial(var, degree, rng, scale=0.5):

@@ -9,6 +9,7 @@ from _families import (
     second_shock_def,
     sf,
     simple_shared,
+    take_lanes,
     unbalanced_general_pair,
 )
 from heavenly.calculus import (
@@ -212,7 +213,7 @@ class TestResiduals:
 
     def test_residual_scales_quadratically(self):
         samples, shared = self._samples(10)
-        s = samples[0].lane(0)
+        s = take_lanes(samples[0], [0])
         lam = 3.0
         scaled = superpose([s], [lam])
         base = ghe_residual(s, shared)

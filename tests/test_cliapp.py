@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from heavenly.cliapp import (
     load_scenario,
     _PCG64,
     main,
+    run,
     scrambled_halton,
 )
 
@@ -141,6 +143,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot write {report}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "balance", "fdcheck"])
+    def test_unwritable_report_refused_before_the_solve(
+            self, command, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved for a report that cannot be written")
+        monkeypatch.setattr("heavenly.superpose.solve_chunks", no_solve)
+        monkeypatch.setattr("heavenly.cliapp.solve_chunks", no_solve)
+        report = tmp_path / "missing" / "r.json"
+        assert main([command, scenario_path("shock_n2"),
+                     "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"configuration error: cannot write {report}: "
+                       "No such file or directory\n")
+
+    @pytest.mark.parametrize("target, reason", [
+        ("file/r.json", "Not a directory"),
+        ("dir", "Is a directory"),
+    ])
+    def test_report_path_checked_first(self, target, reason, tmp_path,
+                                       capsys):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        report = tmp_path / target
+        # refused before the scenario, which does not exist, is read
+        assert main(["verify", str(tmp_path / "absent.json"),
+                     "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: cannot write {report}: {reason}\n"
 
     def test_unwritable_csv_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s.csv"
@@ -422,6 +455,45 @@ class TestHaltonSampler:
                              check=True)
         assert out.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "case.csv").exists()
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_run_returns_main_code_with_heap_frozen(self, code, monkeypatch):
+        seen = []
+
+        def fake_main(argv):
+            seen.append((argv, gc.get_freeze_count()))
+            return code
+        monkeypatch.setattr("heavenly.cliapp.main", fake_main)
+        try:
+            assert run(["verify", "x.json"]) == code
+        finally:
+            gc.unfreeze()
+        assert len(seen) == 1
+        assert seen[0][0] == ["verify", "x.json"]
+        assert seen[0][1] > 0
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["verify", scenario_path("shock_n2"), "--points", "20",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_report_matches_main(self, tmp_path):
+        src = str(Path(heavenly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = tmp_path / "child.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "heavenly.cliapp", "verify",
+             scenario_path("shock_n2"), "--report", str(child)],
+            env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "verdict: PASS"
+        own = tmp_path / "own.json"
+        assert main(["verify", scenario_path("shock_n2"),
+                     "--report", str(own)]) == 0
+        assert child.read_bytes() == own.read_bytes()
 
 
 def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):

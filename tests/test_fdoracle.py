@@ -5,7 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _families import halton_cloud, quadratic_shock_def, sf, simple_shared
+from _families import (
+    halton_cloud,
+    quadratic_shock_def,
+    sf,
+    simple_shared,
+    take_lanes,
+)
 from heavenly import fdoracle
 from heavenly.calculus import FieldSample
 from heavenly.cliapp import load_scenario
@@ -122,7 +128,7 @@ class TestCertifyCloud:
         for i, s in enumerate(cloud.samples):
             rel = fam.relation(i)
             cert = certify_sample(s, rel, fam, i)
-            lanes = [certify_sample(s.lane(k), rel, fam, i)
+            lanes = [certify_sample(take_lanes(s, [k]), rel, fam, i)
                      for k in range(len(cloud.admissible))]
             counts = [sum(getattr(c, f) for c in lanes)
                       for f in ("certified", "near_fold", "holes")]
@@ -148,17 +154,14 @@ class TestCertifyCloud:
         assert cert.max_deviation == max(cert.deviations.values())
 
         only = [1, 3, 8, 20]                    # two holes, two near-folds
-        sub = dataclasses.replace(
-            mixed, point=mixed.point[only],
-            report=mixed.report.take(only),
-            **{f: getattr(mixed, f)[only] for f in
-               ("p", "q", "r") + FieldSample.PARTIAL_NAMES})
+        sub = take_lanes(mixed, only)
         cert = certify_sample(sub, rel, fam, 0)
         assert (cert.certified, cert.near_fold, cert.holes) == (0, 2, 2)
         assert cert.status == "hole"
         assert cert.max_deviation == 0.0
-        assert certify_sample(sub.lane(1), rel, fam, 0).status == "near-fold"
-        assert certify_sample(sub.lane(0), rel, fam, 0).status == "hole"
+        for k, status in ((1, "near-fold"), (0, "hole")):
+            assert certify_sample(take_lanes(sub, [k]), rel, fam,
+                                  0).status == status
 
     @pytest.mark.parametrize("n", [1, 256, 257, 600])
     def test_one_solve_per_block(self, n, monkeypatch):
