@@ -9,6 +9,7 @@ from .calculus import (
     ghe_residual,
     n_term_balance,
     pairwise_balance,
+    pairwise_balances,
     reduced_balance,
     shock_derivatives,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "ShockSolutionDef", "SmoothFn", "build_general_family",
     "build_shock_family", "certify_sample", "compat_residuals",
     "differentiate", "enumerate_roots", "evaluate", "general_derivatives",
-    "ghe_residual", "n_term_balance", "pairwise_balance", "parse",
-    "reduced_balance", "shock_derivatives", "verify_theorem",
+    "ghe_residual", "n_term_balance", "pairwise_balance",
+    "pairwise_balances", "parse", "reduced_balance", "shock_derivatives",
+    "verify_theorem",
 ]

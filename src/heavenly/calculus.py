@@ -33,7 +33,9 @@ class FieldSample:
     """Values and first partials of (p, q, r) over a cloud.
 
     Every field is an array with one lane per point, point is the (N, 4)
-    cloud and report the RootTable of the chosen roots.
+    cloud and report the RootTable of the chosen roots.  A seed's sample
+    also keeps the relation partials q_p, r_p and Phi_t that its fields
+    came from; a superposed sample has none.
     """
 
     p: np.ndarray
@@ -52,6 +54,9 @@ class FieldSample:
     r_t: np.ndarray
     point: np.ndarray = None
     report: object = None
+    q_p: np.ndarray = None
+    r_p: np.ndarray = None
+    Phi_t: np.ndarray = None
 
     PARTIAL_NAMES = ("p_x", "p_y", "p_z", "p_t",
                      "q_x", "q_y", "q_t",
@@ -94,7 +99,7 @@ def _implicit(point, p, report, D, phi, q, r) -> FieldSample:
     values = dict(p=p, q=q, r=r, p_x=p_x, p_y=p_y, p_z=p_z, p_t=p_t,
                   q_x=q_p * p_x, q_y=q_dy + q_p * p_y, q_t=q_p * p_t,
                   r_x=r_p * p_x, r_y=r_p * p_y, r_z=r_dz + r_p * p_z,
-                  r_t=r_p * p_t)
+                  r_t=r_p * p_t, q_p=q_p, r_p=r_p, Phi_t=phi[2])
     return FieldSample(point=as_cloud(point), report=report,
                        **{name: lanes(v, n) for name, v in values.items()})
 
@@ -190,43 +195,38 @@ def pairwise_balance(si: FieldSample, sj: FieldSample, shared) -> ResidualReport
     return _bracket_residual(shared, (sj, si), (si, sj))
 
 
-def n_term_balance(samples, shared) -> ResidualReport:
-    """Sum of all i != j cross terms; for n = 2 this is pairwise_balance."""
-    value = scale = np.zeros(np.shape(samples[0].p))
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            rep = pairwise_balance(samples[i], samples[j], shared)
-            value = value + rep.value
-            scale = np.maximum(scale, rep.scale)
+def pairwise_balances(samples, shared) -> dict:
+    """pairwise_balance of every pair i < j of the samples, keyed (i, j)."""
+    return {(i, j): pairwise_balance(samples[i], samples[j], shared)
+            for i in range(len(samples)) for j in range(i + 1, len(samples))}
+
+
+def n_term_balance(cross: dict, size) -> ResidualReport:
+    """Sum of the cross terms that pairwise_balances gives, over `size`
+    lanes; for two seeds this is pairwise_balance."""
+    value = scale = np.zeros(size)
+    for rep in cross.values():
+        value = value + rep.value
+        scale = np.maximum(scale, rep.scale)
     return ResidualReport(value=value, scale=scale)
 
 
 @np.errstate(all="ignore")
-def reduced_balance(gdef1, gdef2, shared, point, p1,
-                    p2) -> ResidualReport:
-    """Balance condition reduced to the general-family arbitrary functions.
+def reduced_balance(si: FieldSample, sj: FieldSample,
+                    shared) -> ResidualReport:
+    """Balance condition reduced to the seeds' relation partials.
 
-    a [d12R2 - d12R1] [(d2T1)(d12Q2) - (d2T2)(d12Q1)]
-      - b [d2T2 - d2T1] [(d12Q1)(d12R2) - (d12Q2)(d12R1)]
-    with seed-i functions evaluated at (p_i, y/z/t), one root per row of
-    the cloud in p1 and p2.
+    a [r_p,j - r_p,i] [Phi_t,i q_p,j - Phi_t,j q_p,i]
+      - b [Phi_t,j - Phi_t,i] [q_p,i r_p,j - q_p,j r_p,i]
+    with each partial read from its seed's sample.  On the general family
+    q_p = d12Q, r_p = d12R and Phi_t = d2T, at (p_i, y/z/t).
     """
-    (x, y, z, t), p1 = cloud_lanes(point, p1)
-    p2 = np.asarray(p2, dtype=float).reshape(-1)
     a, b = shared.a, shared.b
-    Q12_1 = gdef1.Q.compiled((1, 1))(p1, y)
-    Q12_2 = gdef2.Q.compiled((1, 1))(p2, y)
-    R12_1 = gdef1.R.compiled((1, 1))(p1, z)
-    R12_2 = gdef2.R.compiled((1, 1))(p2, z)
-    T2_1 = gdef1.T.compiled((0, 1))(p1, t)
-    T2_2 = gdef2.T.compiled((0, 1))(p2, t)
-
-    A = R12_2 - R12_1
-    lhs1 = a * A * T2_1 * Q12_2
-    lhs2 = a * A * T2_2 * Q12_1
-    C = T2_2 - T2_1
-    rhs1 = b * C * Q12_1 * R12_2
-    rhs2 = b * C * Q12_2 * R12_1
-    return ResidualReport(
-        value=lanes((lhs1 - lhs2) - (rhs1 - rhs2), len(p1)),
-        scale=lanes(_scale(lhs1, lhs2, rhs1, rhs2), len(p1)))
+    A = sj.r_p - si.r_p
+    lhs1 = a * A * si.Phi_t * sj.q_p
+    lhs2 = a * A * sj.Phi_t * si.q_p
+    C = sj.Phi_t - si.Phi_t
+    rhs1 = b * C * si.q_p * sj.r_p
+    rhs2 = b * C * sj.q_p * si.r_p
+    return ResidualReport(value=(lhs1 - lhs2) - (rhs1 - rhs2),
+                          scale=_scale(lhs1, lhs2, rhs1, rhs2))

@@ -276,13 +276,20 @@ def _require_keys(obj: dict, allowed, required, where: str):
         raise ScenarioError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _smooth(source, variables, where: str) -> SmoothFn:
-    if not isinstance(source, str):
-        raise ScenarioError(f"{where}: expression must be a string")
-    try:
-        return SmoothFn.parse(source, variables)
-    except ExprError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+def _expressions(obj, cls, where: str, prefix: str) -> dict:
+    """The expressions of obj, which must hold exactly the keys of
+    cls.VARIABLES, each parsed over its variables; prefix starts the name
+    of a key in an error message."""
+    _require_keys(obj, cls.VARIABLES, cls.VARIABLES, where)
+    exprs = {}
+    for key, variables in cls.VARIABLES.items():
+        if not isinstance(obj[key], str):
+            raise ScenarioError(f"{prefix}{key}: expression must be a string")
+        try:
+            exprs[key] = SmoothFn.parse(obj[key], variables)
+        except ExprError as exc:
+            raise ScenarioError(f"{prefix}{key}: {exc}") from None
+    return exprs
 
 
 def load_scenario(path) -> Scenario:
@@ -307,13 +314,9 @@ def load_scenario(path) -> Scenario:
     constants = raw.get("constants", {"a": 1.0, "b": 1.0})
     _require_keys(constants, ("a", "b"), ("a", "b"), "constants")
 
-    sh = raw["shared"]
-    _require_keys(sh, ("alpha", "beta", "delta"),
-                  ("alpha", "beta", "delta"), "shared")
     try:
-        shared = SharedProfile(alpha=_smooth(sh["alpha"], ("t",), "alpha"),
-                               beta=_smooth(sh["beta"], ("y",), "beta"),
-                               delta=_smooth(sh["delta"], ("z",), "delta"),
+        shared = SharedProfile(**_expressions(raw["shared"], SharedProfile,
+                                              "shared", ""),
                                a=_number(constants["a"], "constants.a"),
                                b=_number(constants["b"], "constants.b"))
     except FamilyError as exc:
@@ -322,6 +325,7 @@ def load_scenario(path) -> Scenario:
     kind = raw["family"]
     if kind not in ("shock", "general"):
         raise ScenarioError(f"unknown family kind {kind!r}")
+    seed_type = ShockSolutionDef if kind == "shock" else GeneralSolutionDef
     seeds = raw["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ScenarioError("seeds must be a non-empty list")
@@ -329,20 +333,8 @@ def load_scenario(path) -> Scenario:
     for i, seed in enumerate(seeds):
         where = f"seeds[{i}]"
         try:
-            if kind == "shock":
-                _require_keys(seed, ("F", "G", "m", "n"),
-                              ("F", "G", "m", "n"), where)
-                defs.append(ShockSolutionDef(
-                    F=_smooth(seed["F"], ("p",), where + ".F"),
-                    G=_smooth(seed["G"], ("p",), where + ".G"),
-                    m=_smooth(seed["m"], ("y",), where + ".m"),
-                    n=_smooth(seed["n"], ("z",), where + ".n")))
-            else:
-                _require_keys(seed, ("Q", "R", "T"), ("Q", "R", "T"), where)
-                defs.append(GeneralSolutionDef(
-                    Q=_smooth(seed["Q"], ("p", "y"), where + ".Q"),
-                    R=_smooth(seed["R"], ("p", "z"), where + ".R"),
-                    T=_smooth(seed["T"], ("p", "t"), where + ".T")))
+            defs.append(seed_type(**_expressions(seed, seed_type, where,
+                                                 where + ".")))
         except FamilyError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
 
@@ -541,8 +533,10 @@ def _csv_rows(family, coeffs, cloud, first: int):
                for name in calculus.FIELD_NAMES]
     columns += [calculus.ghe_residual(s, shared).normalized
                 for s in samples + [sup]]
+    balance = calculus.n_term_balance(
+        calculus.pairwise_balances(samples, shared), len(cloud.admissible))
     columns += [compat[0].normalized, compat[1].normalized,
-                calculus.n_term_balance(samples, shared).normalized]
+                balance.normalized]
     admissible = iter(np.column_stack(columns).tolist())
     # one %-format per row; "%.17g" % v is f"{v:.17g}", nan and inf included
     ok_row = "%d,%s" + ",%.17g" * (4 + len(columns)) + "\n"
@@ -585,18 +579,14 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     n_admissible = 0
     for cloud, _failure in solve_chunks(family, points, scenario.policy):
         samples = cloud.samples
-        admissible_points = cloud.points[cloud.admissible]
-        for i in range(family.size):
-            for j in range(i + 1, family.size):
-                parts["pairwise"].append(calculus.pairwise_balance(
+        cross = calculus.pairwise_balances(samples, shared)
+        for (i, j), rep in cross.items():
+            parts["pairwise"].append(rep.normalized)
+            if family.kind == "general":
+                parts["reduced"].append(calculus.reduced_balance(
                     samples[i], samples[j], shared).normalized)
-                if family.kind == "general":
-                    parts["reduced"].append(calculus.reduced_balance(
-                        family.defs[i], family.defs[j], shared,
-                        admissible_points, samples[i].p,
-                        samples[j].p).normalized)
-        parts["n_term"].append(
-            calculus.n_term_balance(samples, shared).normalized)
+        parts["n_term"].append(calculus.n_term_balance(
+            cross, len(cloud.admissible)).normalized)
         n_admissible += len(cloud.admissible)
 
     result = {name: summarize(values) for name, values in parts.items()}
@@ -679,8 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "equation.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("scenario", help="path to a scenario JSON file")
-    parser.add_argument("--out", help="output path (JSON report, or CSV "
-                                      "for the sample command)")
+    parser.add_argument("--out",
+                        help="CSV path of the sample command (default: "
+                             "<scenario name>.csv); the other commands "
+                             "write only --report")
     parser.add_argument("--points", type=int, default=None,
                         help="override the sampling count")
     parser.add_argument("--seed", type=int, default=None,

@@ -3,7 +3,8 @@
 Variable conventions are fixed: the field variable is "p", the spacetime
 coordinates are (x, y, z, t).  Univariate profiles are alpha(t), beta(y),
 delta(z), m(y), n(z), F(p), G(p); bivariate general-family functions are
-Q(p, y), R(p, z), T(p, t) with first variable p.
+Q(p, y), R(p, z), T(p, t) with first variable p.  Each definition class
+states its own in one table, VARIABLES, which scenario loading reads too.
 """
 
 from __future__ import annotations
@@ -21,17 +22,23 @@ class FamilyError(ValueError):
     """Raised on invalid family definitions (arity, variable convention)."""
 
 
-def _check_vars(fn: SmoothFn, expected, what: str) -> SmoothFn:
-    expected = tuple(expected)
-    if fn.variables != expected:
-        raise FamilyError(
-            f"variable convention: {what} must be declared over "
-            f"{expected}, got {fn.variables}")
-    return fn
+class _Expressions:
+    """A definition whose expressions are the keys of its class table
+    VARIABLES, each declared over the variables the table gives it."""
+
+    VARIABLES = {}
+
+    def __post_init__(self):
+        for key, expected in self.VARIABLES.items():
+            fn = getattr(self, key)
+            if fn.variables != expected:
+                raise FamilyError(
+                    f"variable convention: {key} must be declared over "
+                    f"{expected}, got {fn.variables}")
 
 
 @dataclass(frozen=True)
-class SharedProfile:
+class SharedProfile(_Expressions):
     """Shared profile functions and the two free equation constants.
 
     The third constant is always c = -a - b, so a+b+c = 0 holds by
@@ -44,10 +51,10 @@ class SharedProfile:
     a: float = 1.0
     b: float = 1.0
 
+    VARIABLES = {"alpha": ("t",), "beta": ("y",), "delta": ("z",)}
+
     def __post_init__(self):
-        _check_vars(self.alpha, ("t",), "alpha")
-        _check_vars(self.beta, ("y",), "beta")
-        _check_vars(self.delta, ("z",), "delta")
+        super().__post_init__()
         if self.a == 0.0 and self.b == 0.0:
             raise FamilyError("(a, b) must not both be zero")
 
@@ -57,7 +64,7 @@ class SharedProfile:
 
 
 @dataclass(frozen=True)
-class ShockSolutionDef:
+class ShockSolutionDef(_Expressions):
     """One seed of the superposable shock family: F(p), G(p), m(y), n(z)."""
 
     F: SmoothFn
@@ -65,25 +72,18 @@ class ShockSolutionDef:
     m: SmoothFn
     n: SmoothFn
 
-    def __post_init__(self):
-        _check_vars(self.F, ("p",), "F")
-        _check_vars(self.G, ("p",), "G")
-        _check_vars(self.m, ("y",), "m")
-        _check_vars(self.n, ("z",), "n")
+    VARIABLES = {"F": ("p",), "G": ("p",), "m": ("y",), "n": ("z",)}
 
 
 @dataclass(frozen=True)
-class GeneralSolutionDef:
+class GeneralSolutionDef(_Expressions):
     """One seed of the general hodograph family: Q(p,y), R(p,z), T(p,t)."""
 
     Q: SmoothFn
     R: SmoothFn
     T: SmoothFn
 
-    def __post_init__(self):
-        _check_vars(self.Q, ("p", "y"), "Q")
-        _check_vars(self.R, ("p", "z"), "R")
-        _check_vars(self.T, ("p", "t"), "T")
+    VARIABLES = {"Q": ("p", "y"), "R": ("p", "z"), "T": ("p", "t")}
 
 
 _SHOCK_PRECOMPUTE = {

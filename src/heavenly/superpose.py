@@ -21,7 +21,7 @@ from .calculus import (
     compat_residuals,
     ghe_residual,
     n_term_balance,
-    pairwise_balance,
+    pairwise_balances,
 )
 from .implicitsolve import (
     FOLD_TOL,
@@ -181,12 +181,10 @@ def _theorem_checks(samples, shared, coeffs) -> dict:
     """Each check's normalised residuals on the admissible points of one
     solved slice, one array per check."""
     seed_reps = [ghe_residual(s, shared) for s in samples]
-    bal = n_term_balance(samples, shared)
+    cross = pairwise_balances(samples, shared)
+    bal = n_term_balance(cross, len(samples[0].p))
     sup = superpose(samples, coeffs)
     sup_rep = ghe_residual(sup, shared)
-    cross = {(i, j): pairwise_balance(samples[i], samples[j], shared)
-             for i in range(len(samples))
-             for j in range(i + 1, len(samples))}
     checks = {
         "seed_ghe": [r.normalized for r in seed_reps],
         "seed_compat": [c.normalized for s in samples

@@ -19,12 +19,13 @@ from heavenly.calculus import (
     ghe_residual,
     n_term_balance,
     pairwise_balance,
+    pairwise_balances,
     reduced_balance,
 )
 from heavenly.cliapp import load_scenario, main
 from heavenly.fdoracle import OFFSETS, _richardson, certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
-from heavenly.registry import build_shock_family
+from heavenly.registry import build_general_family, build_shock_family
 from heavenly.superpose import solve_point, verify_theorem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -101,17 +102,19 @@ def test_criterion_3_balance(bank):
             d, m=type(d.m).parse("0", ("y",)), n=type(d.n).parse("0", ("z",)))
             for d in fam.defs]
         gdefs = [shock_def_as_general(d, fam.shared) for d in stripped]
+        embedded = build_general_family(gdefs, fam.shared)
         cloud, _ = solve_point(fam, pts[:10], BranchPolicy())
         samples = cloud.samples
-        admissible = cloud.points[cloud.admissible]
-        nt = n_term_balance(samples, fam.shared)
+        general, _ = solve_point(embedded, pts[:10], BranchPolicy())
+        nt = n_term_balance(pairwise_balances(samples, fam.shared),
+                            len(cloud.admissible))
         worst_sum = max(worst_sum, nt.normalized.max(initial=0.0))
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
                 pw = pairwise_balance(samples[i], samples[j], fam.shared)
                 worst_pair = max(worst_pair, pw.normalized.max(initial=0.0))
-                red = reduced_balance(gdefs[i], gdefs[j], fam.shared,
-                                      admissible, samples[i].p, samples[j].p)
+                red = reduced_balance(general.samples[i],
+                                      general.samples[j], fam.shared)
                 worst_reduced = max(worst_reduced,
                                     red.normalized.max(initial=0.0))
                 if len(samples) == 2:
@@ -137,9 +140,7 @@ def test_criterion_4_negative_control():
     sup_violates = rep.pass_fraction < 0.5
     cloud, _ = solve_point(fam, pts, sc.policy)
     samples = cloud.samples
-    red = reduced_balance(fam.defs[0], fam.defs[1], fam.shared,
-                          cloud.points[cloud.admissible], samples[0].p,
-                          samples[1].p)
+    red = reduced_balance(samples[0], samples[1], fam.shared)
     n_red = len(cloud.admissible)
     n_red_big = int(np.count_nonzero(red.normalized > 1e-3))
     red_violates = n_red > 0 and n_red_big > 0.5 * n_red

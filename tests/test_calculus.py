@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from heavenly.calculus import (
     ghe_residual,
     n_term_balance,
     pairwise_balance,
+    pairwise_balances,
     reduced_balance,
     shock_derivatives,
 )
+from heavenly.cliapp import load_scenario
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
 from heavenly.registry import (
     GeneralSolutionDef,
@@ -32,6 +35,8 @@ from heavenly.registry import (
     build_shock_family,
 )
 from heavenly.superpose import solve_point, superpose
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestShockDerivatives:
@@ -260,14 +265,15 @@ class TestBalances:
         assert failure is None
         samples = cloud.samples
         pw = pairwise_balance(samples[0], samples[1], shared)
-        nt = n_term_balance(samples, shared)
+        nt = n_term_balance(pairwise_balances(samples, shared),
+                            len(cloud.admissible))
         # bit-identical by construction
         assert np.array_equal(nt.value, pw.value)
         assert np.array_equal(nt.scale, pw.scale)
 
     def test_n_term_single_sample_is_empty_sum(self):
         shared = simple_shared()
-        rep = n_term_balance([zero_sample()], shared)
+        rep = n_term_balance(pairwise_balances([zero_sample()], shared), 1)
         assert (rep.value, rep.scale) == (0.0, 0.0)
 
     def test_three_shock_seeds_balance(self):
@@ -280,16 +286,17 @@ class TestBalances:
         cloud, failure = solve_point(fam, halton_cloud(30, seed=9),
                                      BranchPolicy())
         assert failure is None
-        assert (n_term_balance(cloud.samples,
-                               shared).normalized <= 1e-10).all()
+        assert (n_term_balance(pairwise_balances(cloud.samples, shared),
+                               len(cloud.admissible)).normalized
+                <= 1e-10).all()
 
 
 class TestReducedBalance:
     def test_identical_defs_vanish(self):
         shared = simple_shared()
         g1, _ = unbalanced_general_pair()
-        rep = reduced_balance(g1, g1, shared, (0.3, 1.0, 1.0, 1.0),
-                              0.4, 0.4)
+        s = general_derivatives(g1, (0.3, 1.0, 1.0, 1.0), 0.4)
+        rep = reduced_balance(s, s, shared)
         assert rep.value == 0.0
 
     def test_embedded_shock_pair_balances(self):
@@ -306,8 +313,7 @@ class TestReducedBalance:
                                      BranchPolicy())
         assert failure is None
         samples = cloud.samples
-        rep = reduced_balance(gdefs[0], gdefs[1], shared, cloud.points,
-                              samples[0].p, samples[1].p)
+        rep = reduced_balance(samples[0], samples[1], shared)
         assert (rep.normalized <= 1e-10).all()
 
     def test_unbalanced_pair_violates(self):
@@ -317,10 +323,38 @@ class TestReducedBalance:
         cloud, _ = solve_point(fam, negative_x_cloud(60, seed=11),
                                BranchPolicy())
         samples = cloud.samples
-        rep = reduced_balance(g1, g2, shared,
-                              cloud.points[cloud.admissible],
-                              samples[0].p, samples[1].p)
+        rep = reduced_balance(samples[0], samples[1], shared)
         total = len(cloud.admissible)
         violated = np.count_nonzero(rep.normalized > 1e-3)
         assert total >= 30
         assert violated > total // 2
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["general_balanced",
+                                      "general_unbalanced"])
+    def test_samples_give_the_general_formula_bit_for_bit(self, name, seed):
+        # the condition written in the general family's Q, R and T at each
+        # seed's roots: the samples' q_p, r_p and Phi_t are the same lanes
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        fam = sc.build_family()
+        cloud, _ = solve_point(fam, sc.points(count=2000, seed=seed),
+                               sc.policy)
+        samples, (a, b) = cloud.samples, (fam.shared.a, fam.shared.b)
+        _x, y, z, t = cloud.points[cloud.admissible].T
+        assert len(y) > 1000
+        Q12, R12, T2 = zip(*[(d.Q.compiled((1, 1))(s.p, y),
+                              d.R.compiled((1, 1))(s.p, z),
+                              d.T.compiled((0, 1))(s.p, t))
+                             for d, s in zip(fam.defs, samples)])
+        A = R12[1] - R12[0]
+        lhs1 = a * A * T2[0] * Q12[1]
+        lhs2 = a * A * T2[1] * Q12[0]
+        C = T2[1] - T2[0]
+        rhs1 = b * C * Q12[0] * R12[1]
+        rhs2 = b * C * Q12[1] * R12[0]
+        scale = np.maximum(np.maximum(np.maximum(abs(lhs1), abs(lhs2)),
+                                      abs(rhs1)), abs(rhs2))
+        rep = reduced_balance(samples[0], samples[1], fam.shared)
+        assert rep.value.tobytes() == \
+            ((lhs1 - lhs2) - (rhs1 - rhs2)).tobytes()
+        assert rep.scale.tobytes() == scale.tobytes()

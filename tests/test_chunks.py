@@ -5,7 +5,7 @@ cut through runs of holes and folds), to 256 rows (one scan block) and to
 more rows than the cloud; exit codes, stdout, reports and CSVs must be the
 same bytes.  The slices of the golden hole and fold clouds must also add
 up to the whole-cloud solve: statuses, failed seeds, samples and the first
-failure.
+failure.  Each command computes a slice's cross term of each seed pair once.
 """
 
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heavenly import superpose
+from heavenly import calculus, cliapp, superpose
 from heavenly.calculus import FIELD_NAMES
 from heavenly.cliapp import MAX_POINTS, main
 from test_golden import CASES, build
@@ -114,3 +114,26 @@ def test_an_empty_cloud_is_one_empty_slice():
                                       policy=policy)
     assert report.n_points == 0
     assert all(check["count"] == 0 for check in report.checks.values())
+
+
+@pytest.mark.parametrize("command", ["verify", "balance", "sample"])
+def test_each_cross_term_once_per_slice(command, tmp_path, monkeypatch,
+                                        capsys):
+    # shock_n3 has 3 pairs; 600 points in slices of 256 are 3 slices
+    calls = []
+    original = calculus.pairwise_balance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # every module that binds the function, so no call goes uncounted
+    for module in (calculus, superpose, cliapp):
+        if getattr(module, "pairwise_balance", None) is original:
+            monkeypatch.setattr(module, "pairwise_balance", counted)
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", 256)
+    assert main([command, str(ROOT / "scenarios" / "shock_n3.json"),
+                 "--points", "600", "--report", str(tmp_path / "r.json"),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3 * 3

@@ -184,6 +184,13 @@ class TestCommands:
         assert err.startswith(f"configuration error: cannot write {out}")
         assert not (tmp_path / "r.json").exists()
 
+    def test_out_is_only_the_sample_csv(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", scenario_path("shock_n2"), "--points", "20",
+                     "--report", "R", "--out", "mine.json"]) == 0
+        assert json.loads(Path("R").read_text())["command"] == "verify"
+        assert not Path("mine.json").exists()
+
     def test_balance_shock(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["balance", scenario_path("shock_n3"),
