@@ -31,19 +31,12 @@ from .superpose import (
     STATUS,
     solve_chunks,
     summarize,
-    superpose,
+    theorem_checks,
     verify_theorem,
 )
 from .exprdsl import ExprError, SmoothFn
 from .implicitsolve import BranchPolicy
-from .registry import (
-    FamilyError,
-    GeneralSolutionDef,
-    SharedProfile,
-    ShockSolutionDef,
-    build_general_family,
-    build_shock_family,
-)
+from .registry import FAMILIES, FamilyError, SharedProfile
 
 REPORT_SCHEMA_VERSION = 1
 MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
@@ -67,7 +60,7 @@ class ScenarioError(ValueError):
 @dataclass
 class Scenario:
     name: str
-    family_kind: str            # "shock" | "general"
+    family_kind: str            # a key of registry.FAMILIES
     shared: SharedProfile
     seed_defs: list
     coefficients: list
@@ -81,9 +74,7 @@ class Scenario:
     description: str = ""
 
     def build_family(self):
-        if self.family_kind == "shock":
-            return build_shock_family(self.seed_defs, self.shared)
-        return build_general_family(self.seed_defs, self.shared)
+        return FAMILIES[self.family_kind](self.seed_defs, self.shared)
 
     def points(self, count=None, seed=None) -> np.ndarray:
         """The (N, 4) cloud: explicit points, or a Halton draw in the box."""
@@ -310,6 +301,14 @@ def load_scenario(path) -> Scenario:
                   required=("family", "shared", "seeds", "coefficients",
                             "sampling"),
                   where="scenario")
+    name = raw.get("name", path.stem)   # the stem of sample's default CSV
+    if not isinstance(name, str) or not name or set(name) & set("/\\\0"):
+        raise ScenarioError(f"name must be a non-empty string without '/', "
+                            f"'\\' or NUL, not {name!r}")
+    description = raw.get("description", "")
+    if not isinstance(description, str):
+        raise ScenarioError(f"description must be a string, "
+                            f"not {description!r}")
 
     constants = raw.get("constants", {"a": 1.0, "b": 1.0})
     _require_keys(constants, ("a", "b"), ("a", "b"), "constants")
@@ -323,9 +322,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
     kind = raw["family"]
-    if kind not in ("shock", "general"):
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise ScenarioError(f"unknown family kind {kind!r}")
-    seed_type = ShockSolutionDef if kind == "shock" else GeneralSolutionDef
+    seed_type = FAMILIES[kind].seed_type
     seeds = raw["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ScenarioError("seeds must be a non-empty list")
@@ -410,14 +409,14 @@ def load_scenario(path) -> Scenario:
         _check_count(count)
     sample_seed = sampling.get("seed", 0)
     _check_seed(sample_seed, "sampling.seed")
-    return Scenario(name=raw.get("name", path.stem),
+    return Scenario(name=name,
                     family_kind=kind, shared=shared, seed_defs=defs,
                     coefficients=coeffs, box=box,
                     count=count,
                     sample_seed=sample_seed,
                     explicit_points=explicit, policy=policy,
                     tolerances=tolerances, expect=expect,
-                    description=raw.get("description", ""))
+                    description=description)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +506,8 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
         print(f"  {name:<20} max {_fmt(st['max'])}  median {_fmt(st['median'])}")
     print(f"  superposed pass fraction: {report.pass_fraction:.4f} "
           f"(threshold {tol['residual']:.1e})")
-    return _verdict(failures, {
-        "schema_version": REPORT_SCHEMA_VERSION, "command": "verify",
-        "scenario": scenario.name, "expect": scenario.expect,
-        "tolerances": tol, "report": asdict(report)})
+    return _verdict(failures, {"expect": scenario.expect, "tolerances": tol,
+                               "report": asdict(report)})
 
 
 def csv_header(n_seeds: int) -> list:
@@ -526,17 +523,13 @@ def csv_header(n_seeds: int) -> list:
 
 def _csv_rows(family, coeffs, cloud, first: int):
     """The CSV lines of one solved slice whose first point is row first."""
-    samples, shared = cloud.samples, family.shared
-    sup = superpose(samples, coeffs)
-    compat = calculus.compat_residuals(sup)
+    samples = cloud.samples
+    sup, checks = theorem_checks(samples, family.shared, coeffs)
     columns = [getattr(s, name) for s in samples + [sup]
                for name in calculus.FIELD_NAMES]
-    columns += [calculus.ghe_residual(s, shared).normalized
-                for s in samples + [sup]]
-    balance = calculus.n_term_balance(
-        calculus.pairwise_balances(samples, shared), len(cloud.admissible))
-    columns += [compat[0].normalized, compat[1].normalized,
-                balance.normalized]
+    for name in ("seed_ghe", "superposed_ghe", "superposed_compat",
+                 "n_term_balance"):
+        columns += checks[name]
     admissible = iter(np.column_stack(columns).tolist())
     # one %-format per row; "%.17g" % v is f"{v:.17g}", nan and inf included
     ok_row = "%d,%s" + ",%.17g" * (4 + len(columns)) + "\n"
@@ -557,16 +550,14 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
     n_rows = n_ok = 0
     with out.open("w") as csv:
         csv.write(",".join(csv_header(family.size)) + "\n")
-        for cloud, _failure in solve_chunks(family, points, scenario.policy):
+        for cloud in solve_chunks(family, points, scenario.policy):
             csv.writelines(_csv_rows(family, scenario.coefficients, cloud,
                                      n_rows))
             n_rows += len(cloud.points)
             n_ok += len(cloud.admissible)
     print(f"wrote {out} ({len(points)} points, {n_ok} admissible)")
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": "sample",
-               "scenario": scenario.name, "csv": str(out),
-               "points": len(points), "admissible": n_ok, "passed": True}
-    return 0, payload
+    return 0, {"csv": str(out), "points": len(points), "admissible": n_ok,
+               "passed": True}
 
 
 def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
@@ -577,7 +568,7 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     shared = family.shared
     parts = {"pairwise": [], "n_term": [], "reduced": []}
     n_admissible = 0
-    for cloud, _failure in solve_chunks(family, points, scenario.policy):
+    for cloud in solve_chunks(family, points, scenario.policy):
         samples = cloud.samples
         cross = calculus.pairwise_balances(samples, shared)
         for (i, j), rep in cross.items():
@@ -612,10 +603,7 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
         st = result[name]
         print(f"  {name:<10} count {st['count']:<6} max {_fmt(st['max'])}  "
               f"median {_fmt(st['median'])}")
-    return _verdict(failures, {
-        "schema_version": REPORT_SCHEMA_VERSION, "command": "balance",
-        "scenario": scenario.name, "expect": scenario.expect,
-        "result": result})
+    return _verdict(failures, {"expect": scenario.expect, "result": result})
 
 
 def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
@@ -627,7 +615,7 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
 
     n_ok = n_hole = n_near_fold = 0
     max_dev = 0.0
-    for cloud, _failure in solve_chunks(family, points, scenario.policy):
+    for cloud in solve_chunks(family, points, scenario.policy):
         # a solve-stage fold is |D| < FOLD_TOL: the near-fold rule itself
         n_hole += cloud.count(HOLE)
         n_near_fold += cloud.count(FOLD)
@@ -649,12 +637,9 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     print(f"certified: {n_ok}  near-fold skipped: {n_near_fold}  "
           f"holes: {n_hole}")
     print(f"max deviation: {_fmt(max_dev)} (tolerance {tol:.1e})")
-    return _verdict(failures, {
-        "schema_version": REPORT_SCHEMA_VERSION, "command": "fdcheck",
-        "scenario": scenario.name,
-        "result": {"certified": n_ok, "near_fold": n_near_fold,
-                   "holes": n_hole, "max_deviation": max_dev,
-                   "tolerance": tol}})
+    return _verdict(failures, {"result": {
+        "certified": n_ok, "near_fold": n_near_fold, "holes": n_hole,
+        "max_deviation": max_dev, "tolerance": tol}})
 
 
 _COMMANDS = {"verify": cmd_verify, "sample": cmd_sample,
@@ -674,15 +659,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "<scenario name>.csv); the other commands "
                              "write only --report")
     parser.add_argument("--points", type=int, default=None,
-                        help="override the sampling count")
+                        help="override the sampling count (fdcheck "
+                             "default: the smaller of the count and 100)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sampling seed")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the main residual tolerance (a "
-                             "finite number, not below 0)")
+                        help="override the residual tolerance, or on "
+                             "fdcheck the fd bound (a finite number, not "
+                             "below 0)")
     parser.add_argument("--report", default=None,
                         help="path for the JSON report (default: "
-                             "<scenario>.report.json next to the cwd)")
+                             "<scenario file stem>.report.json in the "
+                             "working directory)")
     return parser
 
 
@@ -698,7 +686,9 @@ def main(argv=None) -> int:
         _check_writable(report)
         scenario = load_scenario(args.scenario)
         code, payload = _COMMANDS[args.command](scenario, args)
-        _write_report(report, payload)
+        _write_report(report, dict(
+            payload, schema_version=REPORT_SCHEMA_VERSION,
+            command=args.command, scenario=scenario.name))
     except (ScenarioError, ExprError, FamilyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -204,6 +204,10 @@ class GeneralFamily(_Family):
         return p, lanes(q, len(p)), lanes(r, len(p))
 
 
+# The family class, and through its seed_type the seed class, of each kind
+FAMILIES = {cls.kind: cls for cls in (ShockFamily, GeneralFamily)}
+
+
 def build_shock_family(defs, shared: SharedProfile) -> ShockFamily:
     return ShockFamily(defs, shared)
 

@@ -153,14 +153,14 @@ def solve_point(family, points, policy: BranchPolicy):
 def solve_chunks(family, points, policy: BranchPolicy):
     """solve_point over consecutive slices of CLOUD_CHUNK rows of a cloud.
 
-    Yields solve_point's (CloudSolution, failure) for each slice in cloud
-    order.  A caller reduces a slice to what it keeps before the next one
-    is solved, so memory is set by the slice and not by the cloud.  An
-    empty cloud is one empty slice.
+    Yields the CloudSolution of each slice in cloud order.  A caller
+    reduces a slice to what it keeps before the next one is solved, so
+    memory is set by the slice and not by the cloud.  An empty cloud is one
+    empty slice.
     """
     pts = as_cloud(points)
     for start in range(0, max(len(pts), 1), CLOUD_CHUNK):
-        yield solve_point(family, pts[start:start + CLOUD_CHUNK], policy)
+        yield solve_point(family, pts[start:start + CLOUD_CHUNK], policy)[0]
 
 
 @np.errstate(all="ignore")
@@ -177,15 +177,16 @@ def quadratic_identity_residual(super_rep, seed_reps, cross_reps, coeffs):
     return abs(super_rep.value - expected) / (scale + NORM_GUARD)
 
 
-def _theorem_checks(samples, shared, coeffs) -> dict:
-    """Each check's normalised residuals on the admissible points of one
-    solved slice, one array per check."""
+def theorem_checks(samples, shared, coeffs):
+    """The superposed sample of one solved slice, and each check's
+    normalised residuals as a list of lane arrays: one per seed, or per
+    compatibility residual of each seed or of the superposed sample."""
     seed_reps = [ghe_residual(s, shared) for s in samples]
     cross = pairwise_balances(samples, shared)
     bal = n_term_balance(cross, len(samples[0].p))
     sup = superpose(samples, coeffs)
     sup_rep = ghe_residual(sup, shared)
-    checks = {
+    return sup, {
         "seed_ghe": [r.normalized for r in seed_reps],
         "seed_compat": [c.normalized for s in samples
                         for c in compat_residuals(s)],
@@ -195,8 +196,6 @@ def _theorem_checks(samples, shared, coeffs) -> dict:
         "quadratic_identity": [quadratic_identity_residual(
             sup_rep, seed_reps, cross, coeffs)],
     }
-    return {name: np.concatenate([np.ravel(a) for a in values])
-            for name, values in checks.items()}
 
 
 def verify_theorem(family, coeffs, points,
@@ -213,11 +212,12 @@ def verify_theorem(family, coeffs, points,
 
     checks = {}
     n_points = n_admissible = n_holes = n_folds = n_pass = 0
-    for cloud, _failure in solve_chunks(family, points, policy):
-        part = _theorem_checks(cloud.samples, family.shared, coeffs)
+    for cloud in solve_chunks(family, points, policy):
+        _sup, part = theorem_checks(cloud.samples, family.shared, coeffs)
         for name, values in part.items():
-            checks.setdefault(name, []).append(values)
-        n_pass += int(np.count_nonzero(part["superposed_ghe"] <= threshold))
+            checks.setdefault(name, []).extend(values)
+        n_pass += int(np.count_nonzero(part["superposed_ghe"][0]
+                                       <= threshold))
         n_points += len(cloud.points)
         n_admissible += len(cloud.admissible)
         n_holes += cloud.count(HOLE)

@@ -5,7 +5,9 @@ cut through runs of holes and folds), to 256 rows (one scan block) and to
 more rows than the cloud; exit codes, stdout, reports and CSVs must be the
 same bytes.  The slices of the golden hole and fold clouds must also add
 up to the whole-cloud solve: statuses, failed seeds, samples and the first
-failure.  Each command computes a slice's cross term of each seed pair once.
+failure.  Each command computes a slice's cross term of each seed pair once,
+and the residual columns of `sample` are the arrays of
+superpose.theorem_checks.
 """
 
 import json
@@ -88,28 +90,31 @@ def test_slices_add_up_to_the_whole_cloud(name, monkeypatch):
     monkeypatch.setattr(superpose, "CLOUD_CHUNK", 7)
     slices = list(superpose.solve_chunks(family, pts, policy))
 
-    assert [len(c.points) for c, _ in slices] == \
+    assert [len(c.points) for c in slices] == \
         [len(part) for part in np.array_split(pts, range(7, len(pts), 7))]
     # runs of holes and folds cross slice boundaries
-    assert sum(len(set(c.status.tolist())) > 1 for c, _ in slices) > 1
-    for attr in ("status", "failed_seed"):
-        got = np.concatenate([getattr(c, attr) for c, _ in slices])
-        assert np.array_equal(got, getattr(whole, attr))
+    assert sum(len(set(c.status.tolist())) > 1 for c in slices) > 1
+    got = {attr: np.concatenate([getattr(c, attr) for c in slices])
+           for attr in ("status", "failed_seed")}
+    for attr, values in got.items():
+        assert np.array_equal(values, getattr(whole, attr))
     for i, sample in enumerate(whole.samples):
         for field in FIELD_NAMES:
-            got = np.concatenate([getattr(c.samples[i], field)
-                                  for c, _ in slices])
-            assert got.tobytes() == getattr(sample, field).tobytes()
-    assert failure is not None
-    assert next(f for _, f in slices if f is not None) == failure
+            values = np.concatenate([getattr(c.samples[i], field)
+                                     for c in slices])
+            assert values.tobytes() == getattr(sample, field).tobytes()
+    # the whole cloud's first failure is the slices' first failed row
+    bad = np.flatnonzero(got["status"] != superpose.OK)[0]
+    assert failure == (superpose.STATUS[got["status"][bad]],
+                       int(got["failed_seed"][bad]))
     for status in (superpose.HOLE, superpose.FOLD):
-        assert sum(c.count(status) for c, _ in slices) == whole.count(status)
+        assert sum(c.count(status) for c in slices) == whole.count(status)
 
 
 def test_an_empty_cloud_is_one_empty_slice():
     family, coeffs, policy = build(GOLDEN["shock_n3"])
     slices = list(superpose.solve_chunks(family, np.zeros((0, 4)), policy))
-    assert [len(c.points) for c, _ in slices] == [0]
+    assert [len(c.points) for c in slices] == [0]
     report = superpose.verify_theorem(family, coeffs, np.zeros((0, 4)),
                                       policy=policy)
     assert report.n_points == 0
@@ -137,3 +142,35 @@ def test_each_cross_term_once_per_slice(command, tmp_path, monkeypatch,
                  "--out", str(tmp_path / "s.csv")]) == 0
     capsys.readouterr()
     assert len(calls) == 3 * 3
+
+
+@pytest.mark.parametrize("name", ["general_balanced", "shock_n3"])
+def test_csv_residuals_are_the_theorem_checks(name, tmp_path, monkeypatch):
+    # 300 points in slices of 64 are 5 slices
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", 64)
+    path = ROOT / "scenarios" / f"{name}.json"
+    csv = tmp_path / "sample.csv"
+    assert main(["sample", str(path), "--points", "300", "--out", str(csv),
+                 "--report", str(tmp_path / "r.json")]) == 0
+
+    scenario = cliapp.load_scenario(path)
+    family = scenario.build_family()
+    expected = []
+    for cloud in superpose.solve_chunks(family, scenario.points(count=300),
+                                        scenario.policy):
+        _sup, checks = superpose.theorem_checks(
+            cloud.samples, family.shared, scenario.coefficients)
+        expected.append(np.column_stack(
+            checks["seed_ghe"] + checks["superposed_ghe"]
+            + checks["superposed_compat"] + checks["n_term_balance"]))
+    assert len(expected) == 5
+    expected = np.concatenate(expected)
+
+    header, *rows = [line.split(",")
+                     for line in csv.read_text().splitlines()]
+    res = [k for k, col in enumerate(header) if col.startswith("res_")]
+    assert len(res) == family.size + 4
+    got = np.array([[float(row[k]) for k in res]
+                    for row in rows if row[1] == "ok"])
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

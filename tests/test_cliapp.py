@@ -228,6 +228,19 @@ class TestCommands:
         report = json.loads(Path("shock_n2.report.json").read_text())
         assert report["result"]["max_deviation"] <= 1e-6
 
+    @pytest.mark.parametrize("command", ["verify", "sample", "balance",
+                                         "fdcheck"])
+    def test_report_header(self, command, tmp_path, monkeypatch):
+        # main writes the header; the name comes from the scenario, not
+        # from the file, which is renamed here
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads(Path(scenario_path("shock_n2")).read_text())
+        path = write_scenario(tmp_path, dict(raw, name="renamed"))
+        assert main([command, path, "--points", "10"]) == 0
+        report = json.loads(Path("case.report.json").read_text())
+        assert (report["schema_version"], report["command"],
+                report["scenario"]) == (1, command, "renamed")
+
     def test_fdcheck_deterministic(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         outs = []
@@ -355,6 +368,12 @@ class TestMalformedValues:
         *(({"tolerances": {"pass_fraction": f}},
            "tolerances.pass_fraction must not exceed 1")
           for f in (2.5, 10 ** 30, 1e308)),
+        *(({"family": kind}, "unknown family kind")
+          for kind in ("Shock", [], {})),
+        *(({"name": name}, "name must be a non-empty string")
+          for name in (None, ["a"], "", "../escaped", "a\\b", "a\0b", 3)),
+        *(({"description": d}, "description must be a string")
+          for d in (None, ["a"], 3)),
     ])
     def test_exit_2(self, patch, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
