@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .implicitsolve import EPS_DEGENERATE, as_cloud, cloud_lanes, lanes
+from .implicitsolve import as_cloud, cloud_lanes, lanes
 
 NORM_GUARD = 1e-300
-
-
-class DegenerateSampleError(RuntimeError):
-    """Relation derivative D below threshold: fold, no valid derivatives."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +86,6 @@ def _implicit(point, p, report, D, phi, q, r) -> FieldSample:
     """
     n = len(p)
     D = lanes(D, n)
-    if np.any(np.abs(D) < EPS_DEGENERATE):
-        raise DegenerateSampleError(f"degenerate relation derivative "
-                                    f"|D|={np.min(np.abs(D)):.3e}")
     (q, q_p, q_dy), (r, r_p, r_dz) = q, r
     p_x = -1.0 / D
     p_y, p_z, p_t = (-phi_a / D for phi_a in phi)

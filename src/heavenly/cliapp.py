@@ -206,11 +206,11 @@ class _PCG64:
             items[i], items[j] = items[j], items[i]
 
 
-def _check_count(count: int):
+def _check_count(count: int, where: str = "sampling count"):
     if count <= 0:
-        raise ScenarioError("sampling count must be positive")
+        raise ScenarioError(f"{where} must be positive")
     if count > MAX_POINTS:
-        raise ScenarioError(f"sampling count {count} exceeds the bound "
+        raise ScenarioError(f"{where} {count} exceeds the bound "
                             f"of {MAX_POINTS} points")
 
 
@@ -620,7 +620,7 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
         n_hole += cloud.count(HOLE)
         n_near_fold += cloud.count(FOLD)
         for i, s in enumerate(cloud.samples):
-            cert = fdoracle.certify_sample(s, family.relation(i), family, i)
+            cert = fdoracle.certify_sample(s, family, i)
             n_ok += cert.certified
             n_near_fold += cert.near_fold
             n_hole += cert.holes
@@ -660,7 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "write only --report")
     parser.add_argument("--points", type=int, default=None,
                         help="override the sampling count (fdcheck "
-                             "default: the smaller of the count and 100)")
+                             "default: the smaller of the count and 100); "
+                             "a scenario's explicit points are used as "
+                             "given")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sampling seed")
     parser.add_argument("--tol", type=float, default=None,
@@ -677,6 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked on every scenario, though an explicit cloud ignores it
+        if args.points is not None:
+            _check_count(args.points, "--points")
         if args.seed is not None:
             _check_seed(args.seed, "--seed")
         if args.tol is not None:

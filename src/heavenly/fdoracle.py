@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import FieldSample
-from .implicitsolve import FOLD_TOL, SCAN_BUDGET, ImplicitRelation, \
-    as_cloud, lanes, solve_on_sheet
+from .implicitsolve import FOLD_TOL, SCAN_BUDGET, as_cloud, lanes, \
+    solve_on_sheet
 
 AXES = ("x", "y", "z", "t")
 H_SCALE = 1e-3                      # step h = H_SCALE (1 + |coordinate|)
@@ -54,11 +54,11 @@ class CertReport:
         return "hole" if self.holes else "near-fold"
 
 
-def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
-                   index: int) -> CertReport:
+def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
     """Compare every closed-form partial of a sample against the oracle.
 
-    sample is a cloud sample, as solve_point returns them.  The
+    sample is a cloud sample of seed index of family, as solve_point
+    returns them, and is checked against that seed's relation.  The
     deviation is |fd - analytic| / (1 + |analytic|).  Lanes with |D| below
     FOLD_TOL are skipped: the implicit-function-theorem formulas blow up
     at shocks by construction.  The 16 stencil points of a lane (4 axes x
@@ -68,6 +68,7 @@ def certify_sample(sample: FieldSample, rel: ImplicitRelation, family,
     they are independent and converged lanes freeze, so the blocks do not
     change the results.
     """
+    rel = family.relation(index)
     points = as_cloud(sample.point)
     n = len(points)
     skip = np.zeros(n, dtype=bool) if sample.report is None else \

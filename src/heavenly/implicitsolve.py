@@ -3,7 +3,8 @@
 A relation is Phi(p; x, y, z, t) = 0 with p-derivative D.  Roots may be
 multivalued (shocks); every sign change on a scan grid is refined by
 safeguarded Newton with bisection fallback.  Tangential double roots are
-out of contract and only surfaced through the |D| < eps degeneracy flag.
+out of contract: where one is found, |D| < FOLD_TOL there and
+superpose.solve_point drops the point as a fold.
 
 The engine works on whole clouds: a point set is an (N, 4) array of
 (x, y, z, t) rows, the scan runs over fixed-size blocks of rows, and Newton
@@ -33,7 +34,6 @@ from . import exprdsl
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-12
-EPS_DEGENERATE = 1e-8    # |D| below this: no implicit derivatives at all
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
 SHEET_MAX_ITER = 60      # Newton steps of solve_on_sheet
@@ -102,10 +102,8 @@ class BranchPolicy:
 @dataclass(frozen=True)
 class RootReport:
     root: float
-    residual: float
     deriv: float
     iterations: int
-    degenerate: bool = False
     converged: bool = True
 
 
@@ -120,7 +118,6 @@ class RootTable:
 
     owner: np.ndarray
     root: np.ndarray
-    residual: np.ndarray
     deriv: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -130,11 +127,9 @@ class RootTable:
         return len(self.root)
 
     def __getitem__(self, k) -> RootReport:
-        d = float(self.deriv[k])
         return RootReport(root=float(self.root[k]),
-                          residual=float(self.residual[k]), deriv=d,
+                          deriv=float(self.deriv[k]),
                           iterations=int(self.iterations[k]),
-                          degenerate=bool(abs(d) < EPS_DEGENERATE),
                           converged=bool(self.converged[k]))
 
     def __iter__(self):
@@ -143,8 +138,8 @@ class RootTable:
     def take(self, idx) -> "RootTable":
         """The entries at idx, in that order."""
         return replace(self, **{name: getattr(self, name)[idx] for name in
-                                ("owner", "root", "residual", "deriv",
-                                 "iterations", "converged")})
+                                ("owner", "root", "deriv", "iterations",
+                                 "converged")})
 
     def select(self, policy: "BranchPolicy") -> np.ndarray:
         """Entry chosen by the policy for each cloud row, -1 where none."""
@@ -493,19 +488,15 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
 
     A lane whose Phi is not finite at an iterate ends unconverged: the
     bracket's sign information is lost there, so the root is a hole.
-    A lane keeps the Phi of the iterate it stopped at; only lanes that run
-    out of iterations evaluate Phi once more, at their last step.
     """
     n = len(owner)
     cols = pts[owner].T
     tol = TOL_ABS + TOL_REL * np.abs(cols[0])
     lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
     p = 0.5 * (lo + hi)
-    phi = np.empty(n)
     iterations = np.zeros(n, dtype=np.int32)
     converged = np.zeros(n, dtype=bool)
     act = np.arange(n)
-    capped = [act[:0]]
     while act.size:
         iterations[act] += 1
         pa = p[act]
@@ -515,7 +506,6 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
         hit = finite & (np.abs(f) <= tol[act])
         converged[act[hit]] = True
         keep = finite & ~hit
-        phi[act[~keep]] = f[~keep]
         act, pa, ca, f = act[keep], pa[keep], ca[:, keep], f[keep]
         # maintain the bracket
         right = f * flo[act] < 0.0
@@ -532,16 +522,9 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
             done = act[collapsed]
             fc = lanes(rel.phi(pa[collapsed], *ca[:, collapsed]), done.size)
             converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[done])
-            phi[done] = fc
-        act = act[~collapsed]
-        more = iterations[act] < MAX_NEWTON_ITER
-        capped.append(act[~more])
-        act = act[more]
-    last = np.concatenate(capped)
-    if last.size:
-        phi[last] = lanes(rel.phi(p[last], *cols[:, last]), last.size)
+        act = act[~collapsed & (iterations[act] < MAX_NEWTON_ITER)]
     d = lanes(rel.dphi(p, *cols), n)
-    return p, np.abs(phi), d, iterations, converged
+    return p, d, iterations, converged
 
 
 def enumerate_roots(rel: ImplicitRelation, points,
@@ -557,23 +540,22 @@ def enumerate_roots(rel: ImplicitRelation, points,
         hi = np.concatenate((grid[b_col + 1], grid[z_col]))
         nb, nz = len(b_col), len(z_col)
         root = np.empty(nb + nz)
-        residual = np.zeros(nb + nz)
         deriv = np.empty(nb + nz)
         iterations = np.zeros(nb + nz, dtype=np.int32)
         converged = np.ones(nb + nz, dtype=bool)
         if nb:
-            (root[:nb], residual[:nb], deriv[:nb], iterations[:nb],
-             converged[:nb]) = _newton(rel, pts, owner[:nb], lo[:nb],
-                                       hi[:nb], found["b_flo"])
+            root[:nb], deriv[:nb], iterations[:nb], converged[:nb] = \
+                _newton(rel, pts, owner[:nb], lo[:nb], hi[:nb],
+                        found["b_flo"])
         if nz:
             root[nb:] = lo[nb:]
             deriv[nb:] = lanes(rel.dphi(lo[nb:], *pts[owner[nb:]].T), nz)
     # brackets sit between grid nodes, exact zeros on them
     position = np.concatenate((b_col + 0.5, z_col))
     order = np.lexsort((position, owner))
-    return RootTable(owner=owner.astype(np.int32), root=root,
-                     residual=residual, deriv=deriv, iterations=iterations,
-                     converged=converged, points=pts).take(order)
+    return RootTable(owner=owner.astype(np.int32), root=root, deriv=deriv,
+                     iterations=iterations, converged=converged,
+                     points=pts).take(order)
 
 
 def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:

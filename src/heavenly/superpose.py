@@ -45,14 +45,27 @@ class SuperposeError(ValueError):
 
 
 def superpose(samples, coeffs) -> FieldSample:
-    """Coefficient-weighted sum of field samples taken at the same points."""
+    """Coefficient-weighted sum of field samples taken at the same points.
+
+    The clouds must have as many rows and agree to 1e-14 in every
+    coordinate; a nan coordinate agrees with nothing.
+    """
     if len(samples) != len(coeffs):
         raise SuperposeError("samples and coefficients differ in length")
     ref = samples[0].point
     for s in samples[1:]:
-        if s.point is not ref and np.any(
-                np.abs(np.subtract(s.point, ref)) > 1e-14):
-            raise SuperposeError(f"point mismatch: {s.point} vs {ref}")
+        if s.point is ref:
+            continue
+        if np.shape(s.point) != np.shape(ref):
+            raise SuperposeError(f"point mismatch: {len(s.point)} points vs "
+                                 f"{len(ref)}")
+        with np.errstate(invalid="ignore"):
+            differ = ~(np.abs(np.subtract(s.point, ref)) <= 1e-14)
+        if differ.any():
+            row = int(np.flatnonzero(differ.any(axis=1))[0])
+            raise SuperposeError(f"point mismatch at row {row}: "
+                                 f"{s.point[row].tolist()} vs "
+                                 f"{ref[row].tolist()}")
     acc = {name: 0.0 for name in FIELD_NAMES}
     for s, c in zip(samples, coeffs):
         for name in FIELD_NAMES:

@@ -167,7 +167,7 @@ def test_criterion_6_derivative_certification(bank):
         cloud, _ = solve_point(fam, pts[:6], BranchPolicy())
         for i, s in enumerate(cloud.samples):
             # the largest deviation over the certified points
-            cert = certify_sample(s, fam.relation(i), fam, i)
+            cert = certify_sample(s, fam, i)
             worst = max(worst, cert.max_deviation)
     # fourth-order convergence probe on a known derivative
     import math

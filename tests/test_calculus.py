@@ -15,7 +15,6 @@ from _families import (
 )
 from heavenly.calculus import (
     FIELD_NAMES,
-    DegenerateSampleError,
     FieldSample,
     compat_residuals,
     general_derivatives,
@@ -74,12 +73,17 @@ class TestShockDerivatives:
         # F'' = 0 so D = G'(p) = p^2 + 1
         assert s.p_x == pytest.approx(-1.0 / (root ** 2 + 1.0))
 
-    def test_degenerate_raises(self):
+    def test_zero_derivative_gives_nonfinite_partials(self):
+        # F = p, G = 0: D = S F'' + G' = 0.  solve_point drops such a point
+        # as a fold; called directly, the derivatives divide by D = 0 and
+        # return inf or nan without a warning or an exception
         shared = simple_shared()
         sdef = ShockSolutionDef(F=sf("p", ("p",)), G=sf("0", ("p",)),
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
-        with pytest.raises(DegenerateSampleError):
-            shock_derivatives(sdef, shared, (0.0, 1.0, 1.0, 1.0), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = shock_derivatives(sdef, shared, (0.0, 1.0, 1.0, 1.0), 0.0)
+        assert not np.isfinite(s.p_x).any()
 
     def test_gradient_proportionality(self):
         # (p_y, p_z) relate to p_t through the profile derivatives

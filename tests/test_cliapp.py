@@ -283,6 +283,21 @@ class TestInputBounds:
         assert main([command, path, "--points", str(MAX_POINTS + 1)]) == 2
         assert "exceeds the bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "-5", str(MAX_POINTS + 1)])
+    @pytest.mark.parametrize("command", ["verify", "sample", "balance",
+                                         "fdcheck"])
+    def test_points_option_checked_on_explicit_cloud(
+            self, command, points, tmp_path, monkeypatch, capsys):
+        # an explicit cloud ignores --points, but a bad value still exits 2
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, dict(BASE, sampling={
+            "points": [[0.1, 1.0, 1.0, 1.0]]}))
+        assert main([command, path, "--points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --points ")
+        assert "Traceback" not in err
+        assert not Path("case.report.json").exists()
+
 
 class TestToleranceOption:
     """--tol is a finite number, not below 0: nan or inf would turn every

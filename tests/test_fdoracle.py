@@ -68,11 +68,10 @@ class TestFdPartial:
 class TestCertifySample:
     def test_shock_samples_certify(self):
         fam = build_shock_family([quadratic_shock_def()], simple_shared())
-        rel = fam.relation(0)
         worst = 0.0
         for point in halton_cloud(25, seed=21):
             cloud, _ = solve_point(fam, point, BranchPolicy())
-            cert = certify_sample(cloud.samples[0], rel, fam, 0)
+            cert = certify_sample(cloud.samples[0], fam, 0)
             assert cert.status == "ok"
             worst = max(worst, cert.max_deviation)
         assert worst <= 1e-6
@@ -82,10 +81,10 @@ class TestCertifySample:
         rel = fam.relation(0)
         point = (1.0, 1.0, 1.0, 1.0)
         root = enumerate_roots(rel, point)[0]
-        fake = type(root)(root=root.root, residual=root.residual,
-                          deriv=1e-4, iterations=root.iterations)
+        fake = type(root)(root=root.root, deriv=1e-4,
+                          iterations=root.iterations)
         s = fam.sample(0, point, root.root, report=fake)
-        cert = certify_sample(s, rel, fam, 0)
+        cert = certify_sample(s, fam, 0)
         assert cert.status == "near-fold"
 
     def test_zero_field_all_zero(self):
@@ -101,7 +100,7 @@ class TestCertifySample:
         root = enumerate_roots(rel, point)[0]
         s = fam.sample(0, point, root.root, report=root)
         assert (s.q, s.r) == (0.0, 0.0)
-        cert = certify_sample(s, rel, fam, 0)
+        cert = certify_sample(s, fam, 0)
         assert cert.status == "ok"
         for name in ("q_x", "q_y", "q_t", "r_x", "r_y", "r_z", "r_t"):
             assert cert.deviations[name] <= 1e-10
@@ -126,9 +125,8 @@ class TestCertifyCloud:
         cloud, _ = solve_point(fam, sc.points(count=600, seed=5), sc.policy)
         assert len(cloud.admissible) > 256
         for i, s in enumerate(cloud.samples):
-            rel = fam.relation(i)
-            cert = certify_sample(s, rel, fam, i)
-            lanes = [certify_sample(take_lanes(s, [k]), rel, fam, i)
+            cert = certify_sample(s, fam, i)
+            lanes = [certify_sample(take_lanes(s, [k]), fam, i)
                      for k in range(len(cloud.admissible))]
             counts = [sum(getattr(c, f) for c in lanes)
                       for f in ("certified", "near_fold", "holes")]
@@ -140,14 +138,13 @@ class TestCertifyCloud:
 
     def test_mixed_lanes(self):
         fam, s = shock_cloud(40)
-        rel = fam.relation(0)
         deriv = s.report.deriv.copy()
         deriv[[3, 8, 9]] = 1e-4                 # near-fold: skipped
         p = s.p.copy()
         p[[1, 9, 20, 30]] = np.nan              # no on-sheet root: holes
         mixed = dataclasses.replace(
             s, p=p, report=dataclasses.replace(s.report, deriv=deriv))
-        cert = certify_sample(mixed, rel, fam, 0)
+        cert = certify_sample(mixed, fam, 0)
         assert (cert.certified, cert.near_fold, cert.holes) == (34, 3, 3)
         assert cert.status == "ok"
         assert 0.0 < cert.max_deviation <= 1e-6
@@ -155,13 +152,13 @@ class TestCertifyCloud:
 
         only = [1, 3, 8, 20]                    # two holes, two near-folds
         sub = take_lanes(mixed, only)
-        cert = certify_sample(sub, rel, fam, 0)
+        cert = certify_sample(sub, fam, 0)
         assert (cert.certified, cert.near_fold, cert.holes) == (0, 2, 2)
         assert cert.status == "hole"
         assert cert.max_deviation == 0.0
         for k, status in ((1, "near-fold"), (0, "hole")):
-            assert certify_sample(take_lanes(sub, [k]), rel, fam,
-                                  0).status == status
+            assert certify_sample(take_lanes(sub, [k]), fam, 0).status \
+                == status
 
     @pytest.mark.parametrize("n", [1, 256, 257, 600])
     def test_one_solve_per_block(self, n, monkeypatch):
@@ -173,7 +170,7 @@ class TestCertifyCloud:
             return solve_on_sheet(rel, points, seed)
 
         monkeypatch.setattr(fdoracle, "solve_on_sheet", counting)
-        cert = certify_sample(s, fam.relation(0), fam, 0)
+        cert = certify_sample(s, fam, 0)
         assert cert.certified == n
         assert len(calls) == math.ceil(n / 256)
         assert sum(calls) == 16 * n

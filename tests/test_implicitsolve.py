@@ -6,6 +6,9 @@ import pytest
 from _families import quadratic_shock_def, sf, simple_shared
 from heavenly.cliapp import load_scenario, scrambled_halton
 from heavenly.implicitsolve import (
+    FOLD_TOL,
+    TOL_ABS,
+    TOL_REL,
     BranchPolicy,
     ImplicitRelation,
     enumerate_roots,
@@ -56,7 +59,6 @@ class TestEnumerateRoots:
         r = reports[0]
         assert r.root == pytest.approx(-0.25, rel=1e-12)
         assert r.deriv == pytest.approx(4.0)
-        assert not r.degenerate
 
     def test_quartic_constructed_root(self):
         # F = p^4/4, G = p, S = 1, x = -2: Phi = p^3 + p - 2, root p = 1
@@ -90,7 +92,9 @@ class TestEnumerateRoots:
         rel = cubic_relation()
         for x in (-0.2, 0.0, 0.15, 0.3):
             for r in enumerate_roots(rel, (x, 0.0, 0.0, 0.0)):
-                assert r.residual <= 1e-12 * (1.0 + abs(x)) or r.degenerate
+                residual = abs(rel.phi(r.root, x, 0.0, 0.0, 0.0))
+                assert residual <= 1e-12 * (1.0 + abs(x)) \
+                    or abs(r.deriv) < FOLD_TOL
 
     def test_monotone_single_root(self):
         reports = enumerate_roots(affine_relation(), (5.0, 1.0, 1.0, 1.0))
@@ -209,14 +213,17 @@ def _shipped_relations():
         Q=sf(q, ("p", "y")), R=sf(r, ("p", "z")), T=sf(t, ("p", "t")))),
        BranchPolicy()) for q, r, t in CALL_RELATIONS)])
 def test_residual_is_phi_at_the_root(name, rel, policy):
-    # Newton keeps the Phi of each lane's last iterate: |Phi(root)| exactly
+    # a root's residual is |Phi(root)|, recomputed from the table: every
+    # converged root meets Newton's tolerance TOL_ABS + TOL_REL |x|
     pts = scrambled_halton(500, 3, (-1.0, 0.5, 0.5, 0.5), (1.0, 1.5, 1.5, 1.5))
     table = enumerate_roots(rel, pts, policy)
-    assert len(table), name
+    assert table.converged.any(), name
+    x = table.points[table.owner, 0]
     with np.errstate(all="ignore"):
         phi = lanes(rel.phi(table.root, *table.points[table.owner].T),
                     len(table))
-    assert np.abs(phi).tobytes() == table.residual.tobytes(), name
+    ok = table.converged
+    assert (np.abs(phi[ok]) <= TOL_ABS + TOL_REL * np.abs(x[ok])).all(), name
 
 
 class TestSelectRoot:

@@ -58,6 +58,20 @@ class TestSuperpose:
         with pytest.raises(SuperposeError, match="point mismatch"):
             superpose([s1, s2], [1.0, 1.0])
 
+    @pytest.mark.parametrize("other, message", [
+        ([[1.0, 1.0, 1.0, 1.0], [0.5, 1.0, 1.0, 1.0]],
+         "point mismatch: 2 points vs 1"),
+        ([[1.0, 1.0, np.nan, 1.0]],
+         r"point mismatch at row 0: \[1.0, 1.0, nan, 1.0\]"),
+    ])
+    def test_other_cloud_rejected(self, other, message):
+        # a different number of rows, or a nan coordinate, is no match
+        fam = two_seed_family()
+        s1 = fam.sample(0, [[1.0, 1.0, 1.0, 1.0]], [-0.25])
+        s2 = fam.sample(1, other, np.full(len(other), -1.0 / 6.0))
+        with pytest.raises(SuperposeError, match=message):
+            superpose([s1, s2], [1.0, 1.0])
+
     def test_projection_coefficients(self):
         fam = two_seed_family()
         point = (0.4, 1.1, 0.9, 0.8)
