@@ -28,10 +28,9 @@ NORM_GUARD = 1e-300
 class FieldSample:
     """Values and first partials of (p, q, r) over a cloud.
 
-    Every field is an array with one lane per point, point is the (N, 4)
-    cloud and report the RootTable of the chosen roots.  A seed's sample
-    also keeps the relation partials q_p, r_p and Phi_t that its fields
-    came from; a superposed sample has none.
+    Every field is an array with one lane per point and point is the
+    (N, 4) cloud.  A seed's sample also keeps the relation partials q_p,
+    r_p and Phi_t that its fields came from; a superposed sample has none.
     """
 
     p: np.ndarray
@@ -49,7 +48,6 @@ class FieldSample:
     r_z: np.ndarray
     r_t: np.ndarray
     point: np.ndarray = None
-    report: object = None
     q_p: np.ndarray = None
     r_p: np.ndarray = None
     Phi_t: np.ndarray = None
@@ -76,7 +74,7 @@ class ResidualReport:
 # Derivative formulas
 # ---------------------------------------------------------------------------
 
-def _implicit(point, p, report, D, phi, q, r) -> FieldSample:
+def _implicit(point, p, D, phi, q, r) -> FieldSample:
     """The implicit function theorem on Phi(p; x, y, z, t) = 0, Phi_x = 1.
 
     D is Phi_p and phi is (Phi_y, Phi_z, Phi_t), so p_a = -Phi_a / D.  q
@@ -93,13 +91,12 @@ def _implicit(point, p, report, D, phi, q, r) -> FieldSample:
                   q_x=q_p * p_x, q_y=q_dy + q_p * p_y, q_t=q_p * p_t,
                   r_x=r_p * p_x, r_y=r_p * p_y, r_z=r_dz + r_p * p_z,
                   r_t=r_p * p_t, q_p=q_p, r_p=r_p, Phi_t=phi[2])
-    return FieldSample(point=as_cloud(point), report=report,
+    return FieldSample(point=as_cloud(point),
                        **{name: lanes(v, n) for name, v in values.items()})
 
 
 @np.errstate(all="ignore")
-def shock_derivatives(sdef, shared, point, proot,
-                      report=None) -> FieldSample:
+def shock_derivatives(sdef, shared, point, proot) -> FieldSample:
     """Implicit differentiation of x + S F'(p) + G(p) = 0, S = a+b+d.
 
     q = m(y) + beta'(y) F(p), r = n(z) + delta'(z) F(p).
@@ -117,11 +114,11 @@ def shock_derivatives(sdef, shared, point, proot,
          sdef.m.compiled((1,))(y) + shared.beta.compiled((2,))(y) * F0)
     r = (sdef.n.compiled((0,))(z) + de1 * F0, de1 * F1,
          sdef.n.compiled((1,))(z) + shared.delta.compiled((2,))(z) * F0)
-    return _implicit(point, p, report, D, phi, q, r)
+    return _implicit(point, p, D, phi, q, r)
 
 
 @np.errstate(all="ignore")
-def general_derivatives(gdef, point, proot, report=None) -> FieldSample:
+def general_derivatives(gdef, point, proot) -> FieldSample:
     """Implicit differentiation of x + d1Q + d1R + T(p,t) = 0.
 
     D = d11Q + d11R + d1T (the d1T term is required: T enters the relation
@@ -135,7 +132,7 @@ def general_derivatives(gdef, point, proot, report=None) -> FieldSample:
     phi = (Q12, R12, gdef.T.compiled((0, 1))(p, t))
     q = (gdef.Q.compiled((0, 1))(p, y), Q12, gdef.Q.compiled((0, 2))(p, y))
     r = (gdef.R.compiled((0, 1))(p, z), R12, gdef.R.compiled((0, 2))(p, z))
-    return _implicit(point, p, report, D, phi, q, r)
+    return _implicit(point, p, D, phi, q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,10 @@ def load_scenario(path) -> Scenario:
     box = None
     explicit = None
     if "points" in sampling:
+        extra = sorted(set(sampling) - {"points"})
+        if extra:
+            raise ScenarioError(f"sampling: explicit points take no "
+                                f"{', '.join(extra)}")
         bad_rows = "sampling.points must list [x,y,z,t] rows of finite numbers"
         try:
             explicit = np.asarray(sampling["points"], dtype=float)
@@ -616,13 +620,12 @@ def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
     n_ok = n_hole = n_near_fold = 0
     max_dev = 0.0
     for cloud in solve_chunks(family, points, scenario.policy):
-        # a solve-stage fold is |D| < FOLD_TOL: the near-fold rule itself
+        # the near-fold count is the solve's folds, |D| < FOLD_TOL
         n_hole += cloud.count(HOLE)
         n_near_fold += cloud.count(FOLD)
         for i, s in enumerate(cloud.samples):
             cert = fdoracle.certify_sample(s, family, i)
             n_ok += cert.certified
-            n_near_fold += cert.near_fold
             n_hole += cert.holes
             # a nan deviation is kept, whichever slice it is in
             max_dev = float(np.maximum(max_dev, cert.max_deviation))

@@ -559,15 +559,11 @@ def compile_expr(e: Expr, variables):
 # SmoothFn
 # ---------------------------------------------------------------------------
 
-_CACHE_ORDER = 3
-
-
 class SmoothFn:
     """An Expr in 1 or 2 variables with lazily cached symbolic partials.
 
-    Partials of total order <= 3 are cached; higher orders are recomputed
-    on demand.  Immutable in effect: the expression never changes, caches
-    only grow.
+    Every partial asked for is cached, symbolic and compiled.  Immutable in
+    effect: the expression never changes, caches only grow.
     """
 
     def __init__(self, expr: Expr, variables):
@@ -605,8 +601,7 @@ class SmoothFn:
         for name, order in zip(self.variables, orders):
             for _ in range(order):
                 e = differentiate(e, name)
-        if sum(orders) <= _CACHE_ORDER:
-            self._partials[orders] = e
+        self._partials[orders] = e
         return e
 
     def compiled(self, orders=None):

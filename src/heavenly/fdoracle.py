@@ -4,7 +4,9 @@ Uses the fourth-order Richardson-extrapolated central stencil
 (8(f(+h) - f(-h)) - (f(+2h) - f(-2h))) / (12 h).  certify_sample checks a
 seed's whole cloud sample: the stencils of a block of samples are solved by
 one on-sheet Newton, each lane seeded from its sample's own root so the
-stencil never hops sheets, and one CertReport sums up the cloud.
+stencil never hops sheets, and one CertReport sums up the cloud.  Which
+points a seed is sampled at is superpose.solve_point's decision: the oracle
+certifies every lane it is given.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import FieldSample
-from .implicitsolve import FOLD_TOL, SCAN_BUDGET, as_cloud, lanes, \
-    solve_on_sheet
+from .implicitsolve import SCAN_BUDGET, as_cloud, lanes, solve_on_sheet
 
 AXES = ("x", "y", "z", "t")
 H_SCALE = 1e-3                      # step h = H_SCALE (1 + |coordinate|)
@@ -35,23 +36,20 @@ def _richardson(f1, fm1, f2, fm2, h):
 class CertReport:
     """Certification of every lane of one seed's sample.
 
-    certified, near_fold and holes count the lanes; max_deviation and
-    deviations (partial name -> relative deviation) are maxima over the
-    certified lanes, 0.0 when none certified.
+    certified and holes count the lanes; max_deviation and deviations
+    (partial name -> relative deviation) are maxima over the certified
+    lanes, 0.0 when none certified.
     """
 
     certified: int
-    near_fold: int
     holes: int
     max_deviation: float
     deviations: dict
 
     @property
     def status(self) -> str:
-        """"ok" if any lane certified, else "hole" if any lane is one."""
-        if self.certified:
-            return "ok"
-        return "hole" if self.holes else "near-fold"
+        """"ok" if any lane certified, else "hole"."""
+        return "ok" if self.certified else "hole"
 
 
 def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
@@ -59,28 +57,23 @@ def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
 
     sample is a cloud sample of seed index of family, as solve_point
     returns them, and is checked against that seed's relation.  The
-    deviation is |fd - analytic| / (1 + |analytic|).  Lanes with |D| below
-    FOLD_TOL are skipped: the implicit-function-theorem formulas blow up
-    at shocks by construction.  The 16 stencil points of a lane (4 axes x
-    offsets +-h, +-2h) are solved on its sheet, seeded with its root; each
-    solve gives p, q and r, and a lane with a non-finite stencil value is
-    a hole.  Lanes go through one on-sheet Newton per block of samples;
-    they are independent and converged lanes freeze, so the blocks do not
-    change the results.
+    deviation is |fd - analytic| / (1 + |analytic|).  The 16 stencil points
+    of a lane (4 axes x offsets +-h, +-2h) are solved on its sheet, seeded
+    with its root; each solve gives p, q and r, and a lane with a non-finite
+    stencil value is a hole.  Lanes go through one on-sheet Newton per
+    block of samples; they are independent and converged lanes freeze, so
+    the blocks do not change the results.
     """
     rel = family.relation(index)
     points = as_cloud(sample.point)
     n = len(points)
-    skip = np.zeros(n, dtype=bool) if sample.report is None else \
-        np.abs(lanes(sample.report.deriv, n)) < FOLD_TOL
-    todo = np.flatnonzero(~skip)
     roots = lanes(sample.p, n)
     analytic = [lanes(getattr(sample, name), n) for name, _, _ in _PARTIALS]
     # 256 samples, 4 096 stencil lanes per solve
     block = SCAN_BUDGET // len(_STENCIL) ** 2
     devs = []
-    for start in range(0, len(todo), block):
-        k = todo[start:start + block]
+    for start in range(0, n, block):
+        k = np.arange(start, min(start + block, n))
         point = points[k]
         h = H_SCALE * (1.0 + np.abs(point))
         stencil = (point[:, None] + _STENCIL * h[:, None]).reshape(
@@ -96,8 +89,7 @@ def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
                      for a, (_, comp, axis) in zip(analytic, _PARTIALS)])
     devs = np.concatenate([np.empty((len(_PARTIALS), 0)), *devs], axis=1)
     worst = devs.max(axis=1, initial=0.0)
-    return CertReport(certified=devs.shape[1], near_fold=int(skip.sum()),
-                      holes=len(todo) - devs.shape[1],
+    return CertReport(certified=devs.shape[1], holes=n - devs.shape[1],
                       max_deviation=float(worst.max()),
                       deviations={name: float(v) for (name, _, _), v in
                                   zip(_PARTIALS, worst)})

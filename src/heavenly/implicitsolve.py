@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ImplicitRelation:
 class BranchPolicy:
     """Scan interval, resolution and branch selection rule.
 
-    selection is "lowest", "nearest" (to seed_root) or an integer index
+    selection is "lowest", "nearest" (to p = 0) or an integer index
     0 <= k < resolution into the ascending root list (a bool is not one).
     """
 
@@ -84,7 +84,6 @@ class BranchPolicy:
     p_hi: float = 10.0
     resolution: int = 1024
     selection: object = "lowest"
-    seed_root: float = 0.0
 
     def __post_init__(self):
         if not self.p_lo < self.p_hi:
@@ -135,18 +134,11 @@ class RootTable:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def take(self, idx) -> "RootTable":
-        """The entries at idx, in that order."""
-        return replace(self, **{name: getattr(self, name)[idx] for name in
-                                ("owner", "root", "deriv", "iterations",
-                                 "converged")})
-
     def select(self, policy: "BranchPolicy") -> np.ndarray:
         """Entry chosen by the policy for each cloud row, -1 where none."""
         counts = np.bincount(self.owner, minlength=len(self.points))
         first = np.cumsum(counts) - counts
-        return _pick(self.root, first, counts, policy.selection,
-                     policy.seed_root)
+        return _pick(self.root, first, counts, policy.selection)
 
 
 def as_cloud(points) -> np.ndarray:
@@ -188,7 +180,7 @@ def median(values) -> float:
     return (0.0 + lo + hi) / 2 if n % 2 == 0 else 0.0 + lo
 
 
-def _pick(root, first, counts, selection, target) -> np.ndarray:
+def _pick(root, first, counts, selection) -> np.ndarray:
     """Per group of consecutive ascending roots, the index the rule selects."""
     has = counts > 0
     if not len(root):
@@ -198,7 +190,7 @@ def _pick(root, first, counts, selection, target) -> np.ndarray:
     if selection == "nearest":
         group = np.repeat(np.arange(len(counts)), counts)
         # lexsort is stable: ties keep the lowest root, as min() would
-        order = np.lexsort((np.abs(root - target), group))
+        order = np.lexsort((np.abs(root), group))
         return np.where(has, order[np.minimum(first, len(root) - 1)], -1)
     # an index: BranchPolicy holds it to 0 <= k < resolution
     return np.where(selection < counts, first + selection, -1)
@@ -553,9 +545,9 @@ def enumerate_roots(rel: ImplicitRelation, points,
     # brackets sit between grid nodes, exact zeros on them
     position = np.concatenate((b_col + 0.5, z_col))
     order = np.lexsort((position, owner))
-    return RootTable(owner=owner.astype(np.int32), root=root, deriv=deriv,
-                     iterations=iterations, converged=converged,
-                     points=pts).take(order)
+    return RootTable(owner=owner[order].astype(np.int32), root=root[order],
+                     deriv=deriv[order], iterations=iterations[order],
+                     converged=converged[order], points=pts)
 
 
 def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:

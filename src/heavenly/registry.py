@@ -165,9 +165,9 @@ class ShockFamily(_Family):
     def _relation(self, d):
         return implicitsolve.shock_relation(d, self.shared)
 
-    def sample(self, i: int, point, proot, report=None):
+    def sample(self, i: int, point, proot):
         return calculus.shock_derivatives(self.defs[i], self.shared, point,
-                                          proot, report=report)
+                                          proot)
 
     def values(self, i: int, point, proot):
         """(p, q, r) values only, no implicit-function-theorem division.
@@ -192,9 +192,8 @@ class GeneralFamily(_Family):
     def _relation(self, d):
         return implicitsolve.general_relation(d)
 
-    def sample(self, i: int, point, proot, report=None):
-        return calculus.general_derivatives(self.defs[i], point, proot,
-                                            report=report)
+    def sample(self, i: int, point, proot):
+        return calculus.general_derivatives(self.defs[i], point, proot)
 
     def values(self, i: int, point, proot):
         (x, y, z, t), p = cloud_lanes(point, proot)

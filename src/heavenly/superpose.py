@@ -150,11 +150,11 @@ def solve_point(family, points, policy: BranchPolicy):
         failed_seed[alive[hole | fold]] = i
         good = ~(hole | fold)
         alive = alive[good]
-        chosen = [t.take(good) for t in chosen]
-        chosen.append(table.take(pick[good]))
+        chosen = [root[good] for root in chosen]
+        chosen.append(table.root[pick[good]])
     cloud_pts = _rows(pts, alive)
-    samples = [family.sample(i, cloud_pts, table.root, report=table)
-               for i, table in enumerate(chosen)]
+    samples = [family.sample(i, cloud_pts, root)
+               for i, root in enumerate(chosen)]
     cloud = CloudSolution(points=pts, status=status, failed_seed=failed_seed,
                           admissible=alive, samples=samples)
     bad = np.flatnonzero(status != OK)

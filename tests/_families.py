@@ -58,8 +58,7 @@ def unbalanced_general_pair():
 def take_lanes(sample: FieldSample, rows) -> FieldSample:
     """The cloud sample of the given lanes, in that order: [k] is the
     one-row cloud at lane k."""
-    report = None if sample.report is None else sample.report.take(rows)
-    return FieldSample(point=sample.point[rows], report=report,
+    return FieldSample(point=sample.point[rows],
                        **{name: getattr(sample, name)[rows]
                           for name in FIELD_NAMES})
 

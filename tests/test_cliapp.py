@@ -21,7 +21,9 @@ from heavenly.cliapp import (
     run,
     scrambled_halton,
 )
+from test_golden import CASES
 
+GOLDEN = {case["name"]: case for case in CASES}
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -98,6 +100,18 @@ class TestLoadScenario:
         bad = dict(BASE, sampling={"points": rows})
         with pytest.raises(ScenarioError, match="finite numbers"):
             load_scenario(write_scenario(tmp_path, bad))
+
+    @pytest.mark.parametrize("key", ["box", "count", "seed"])
+    def test_explicit_points_take_no_other_sampling_key(self, key, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads(Path(scenario_path("shock_n2")).read_text())
+        raw["sampling"] = {"points": [[0.1, 1.0, 1.0, 1.0]],
+                           key: raw["sampling"][key]}
+        assert main(["verify", write_scenario(tmp_path, raw)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: sampling: explicit points take no {key}\n")
+        assert not Path("case.report.json").exists()
 
     def test_defaults(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, BASE))
@@ -537,24 +551,38 @@ class TestProcessEntry:
         assert child.read_bytes() == own.read_bytes()
 
 
-def test_fdcheck_counts_solve_folds_as_near_fold(tmp_path, monkeypatch):
-    # x + p^3 - p on [-1, 0]: just past x = -2/(3 sqrt 3) the lowest root
-    # sits 8e-5 from the fold at p = -1/sqrt(3), so |D| ~ 3e-4 < 1e-3
+_X_FOLD = -2.0 / (3.0 * 3.0 ** 0.5)
+
+
+@pytest.mark.parametrize("points, counts, code", [
+    # just past x = -2/(3 sqrt 3) the lowest root sits 8e-5 from the fold
+    # at p = -1/sqrt(3), so |D| ~ 3e-4 < 1e-3
+    ([[_X_FOLD + 1e-8, 1.0, 1.0, 1.0], [-0.2, 1.0, 1.0, 1.0]], (1, 1, 0), 0),
+    # across the fold: 100 holes, 14 folds, 86 admissible points, all
+    # within 1e-6 of the fold, so every stencil (h ~ 1.4e-3) crosses it
+    (GOLDEN["folds_cubic"]["points"], (0, 14, 186), 1),
+], ids=["past_the_fold", "folds_cubic"])
+def test_fdcheck_counts_solve_folds_as_near_fold(points, counts, code,
+                                                 tmp_path, monkeypatch):
+    # x + p^3 - p on [-1, 0]
     monkeypatch.chdir(tmp_path)
-    x_fold = -2.0 / (3.0 * 3.0 ** 0.5)
     path = write_scenario(tmp_path, {
         "family": "general",
         "shared": {"alpha": "t", "beta": "y", "delta": "z"},
         "seeds": [{"Q": "0", "R": "0", "T": "p^3 - p"}],
         "coefficients": [1.0],
-        "sampling": {"points": [[x_fold + 1e-8, 1.0, 1.0, 1.0],
-                                [-0.2, 1.0, 1.0, 1.0]]},
+        "sampling": {"points": points},
         "branch": {"p_lo": -1.0, "p_hi": 0.0, "resolution": 16384},
     })
-    assert main(["fdcheck", path]) == 0
-    result = json.loads(Path("case.report.json").read_text())["result"]
+    assert main(["verify", path, "--report", "verify.json"]) == 0
+    solved = json.loads(Path("verify.json").read_text())["report"]
+    assert main(["fdcheck", path, "--report", "fdcheck.json"]) == code
+    result = json.loads(Path("fdcheck.json").read_text())["result"]
     assert (result["certified"], result["near_fold"], result["holes"]) == \
-        (1, 1, 0)
+        counts
+    assert result["near_fold"] == solved["n_folds"]
+    assert result["certified"] + result["holes"] == \
+        solved["n_points"] - solved["n_folds"]
 
 
 def test_infinite_root_derivative_is_a_hole(tmp_path, monkeypatch):

@@ -277,12 +277,13 @@ class TestSmoothFn:
                 a, b = evaluate(cached, pt), evaluate(fresh, pt)
                 assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
 
-    def test_cache_only_up_to_order_three(self):
+    def test_every_partial_cached(self):
         fn = SmoothFn.parse("p^6", ("p",))
         fn.partial(3)
         fn.partial(4)
         assert (3,) in fn._partials
-        assert (4,) not in fn._partials
+        assert (4,) in fn._partials
+        assert fn.partial(4) is fn._partials[(4,)]
 
     def test_arity_enforced(self):
         with pytest.raises(ExprError):

@@ -76,17 +76,6 @@ class TestCertifySample:
             worst = max(worst, cert.max_deviation)
         assert worst <= 1e-6
 
-    def test_near_fold_skipped(self):
-        fam = build_shock_family([quadratic_shock_def()], simple_shared())
-        rel = fam.relation(0)
-        point = (1.0, 1.0, 1.0, 1.0)
-        root = enumerate_roots(rel, point)[0]
-        fake = type(root)(root=root.root, deriv=1e-4,
-                          iterations=root.iterations)
-        s = fam.sample(0, point, root.root, report=fake)
-        cert = certify_sample(s, fam, 0)
-        assert cert.status == "near-fold"
-
     def test_zero_field_all_zero(self):
         # relation p = -x with constant q, r: all cross partials zero
         sdef = ShockSolutionDef(F=sf("p", ("p",)), G=sf("p", ("p",)),
@@ -98,7 +87,7 @@ class TestCertifySample:
         rel = fam.relation(0)
         point = (0.5, 1.0, 1.0, 1.0)
         root = enumerate_roots(rel, point)[0]
-        s = fam.sample(0, point, root.root, report=root)
+        s = fam.sample(0, point, root.root)
         assert (s.q, s.r) == (0.0, 0.0)
         cert = certify_sample(s, fam, 0)
         assert cert.status == "ok"
@@ -129,8 +118,8 @@ class TestCertifyCloud:
             lanes = [certify_sample(take_lanes(s, [k]), fam, i)
                      for k in range(len(cloud.admissible))]
             counts = [sum(getattr(c, f) for c in lanes)
-                      for f in ("certified", "near_fold", "holes")]
-            assert [cert.certified, cert.near_fold, cert.holes] == counts
+                      for f in ("certified", "holes")]
+            assert [cert.certified, cert.holes] == counts
             assert cert.max_deviation == max(c.max_deviation for c in lanes)
             for partial in FieldSample.PARTIAL_NAMES:
                 assert cert.deviations[partial] == \
@@ -138,25 +127,25 @@ class TestCertifyCloud:
 
     def test_mixed_lanes(self):
         fam, s = shock_cloud(40)
-        deriv = s.report.deriv.copy()
-        deriv[[3, 8, 9]] = 1e-4                 # near-fold: skipped
         p = s.p.copy()
         p[[1, 9, 20, 30]] = np.nan              # no on-sheet root: holes
-        mixed = dataclasses.replace(
-            s, p=p, report=dataclasses.replace(s.report, deriv=deriv))
+        mixed = dataclasses.replace(s, p=p)
         cert = certify_sample(mixed, fam, 0)
-        assert (cert.certified, cert.near_fold, cert.holes) == (34, 3, 3)
+        assert (cert.certified, cert.holes) == (36, 4)
+        assert cert.certified + cert.holes == len(p)
         assert cert.status == "ok"
         assert 0.0 < cert.max_deviation <= 1e-6
         assert cert.max_deviation == max(cert.deviations.values())
 
-        only = [1, 3, 8, 20]                    # two holes, two near-folds
-        sub = take_lanes(mixed, only)
+        sub = take_lanes(mixed, [1, 3, 20])     # two holes, one good lane
         cert = certify_sample(sub, fam, 0)
-        assert (cert.certified, cert.near_fold, cert.holes) == (0, 2, 2)
+        assert (cert.certified, cert.holes) == (1, 2)
+        assert cert.status == "ok"
+        cert = certify_sample(take_lanes(sub, [0, 2]), fam, 0)
+        assert (cert.certified, cert.holes) == (0, 2)
         assert cert.status == "hole"
         assert cert.max_deviation == 0.0
-        for k, status in ((1, "near-fold"), (0, "hole")):
+        for k, status in ((1, "ok"), (0, "hole")):
             assert certify_sample(take_lanes(sub, [k]), fam, 0).status \
                 == status
 

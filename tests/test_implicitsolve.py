@@ -27,13 +27,16 @@ def affine_relation():
     return shock_relation(quadratic_shock_def(), simple_shared())
 
 
-def cubic_relation(lo=-2.0, hi=2.0):
-    """Phi = x + p^3 - p: up to three roots on [-2, 2]."""
+def cubic_relation(lo=-2.0, hi=2.0, shift=0.0):
+    """Phi = x + u^3 - u with u = p - shift: up to three roots, at x = 0
+    shift - 1, shift and shift + 1."""
     def phi(p, x, y, z, t):
-        return x + p ** 3 - p
+        u = p - shift
+        return x + u ** 3 - u
 
     def dphi(p, x, y, z, t):
-        return 3.0 * p ** 2 - 1.0
+        u = p - shift
+        return 3.0 * u ** 2 - 1.0
 
     return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
 
@@ -123,12 +126,13 @@ class TestEnumerateRoots:
 class TestCloudBatch:
     @pytest.mark.parametrize("policy", [
         BranchPolicy(selection="lowest"),
-        BranchPolicy(selection="nearest", seed_root=0.9),
+        BranchPolicy(selection="nearest"),
         BranchPolicy(selection=1),
         BranchPolicy(selection=2),
     ], ids=["lowest", "nearest", "index1", "index2"])
     def test_batch_equals_one_lane_calls(self, policy):
-        rel = cubic_relation()
+        # shifted so that of three roots the one nearest p = 0 is the highest
+        rel = cubic_relation(shift=-0.9)
         cloud = [(x, 0.0, 0.0, 0.0) for x in np.linspace(-0.6, 0.6, 13)]
         table = enumerate_roots(rel, np.array(cloud), policy)
         picks = table.select(policy)
@@ -148,8 +152,9 @@ class TestCloudBatch:
     def test_fold_approach_drives_deriv_to_zero(self):
         # Phi = x + p^3 - p folds at p = 1/sqrt(3), x = 2/(3 sqrt 3);
         # dense scan of D = 3p^2 - 1 locates the crossing, and a cloud
-        # approaching that x sees |D| -> 0 on the root nearest 0.9
-        rel = cubic_relation()
+        # approaching that x sees |D| -> 0 on the root nearest 0.9; shifted
+        # by -0.9, that is the root nearest p = 0
+        rel = cubic_relation(shift=-0.9)
         p_dense = np.linspace(0.2, 1.0, 400001)
         dvals = 3.0 * p_dense ** 2 - 1.0
         i = np.flatnonzero(dvals[:-1] * dvals[1:] < 0.0)[0]
@@ -157,8 +162,7 @@ class TestCloudBatch:
         fold_x = p_fold - p_fold ** 3
         xs = fold_x * (1.0 - np.logspace(-8, -1, 30))[::-1]
         cloud = np.array([(x, 0.0, 0.0, 0.0) for x in xs])
-        pol = BranchPolicy(selection="nearest", seed_root=0.9,
-                           resolution=1 << 17)
+        pol = BranchPolicy(selection="nearest", resolution=1 << 17)
         table = enumerate_roots(rel, cloud, pol)
         picks = table.select(pol)
         min_d = np.abs(table.deriv[picks[picks >= 0]]).min()
@@ -242,9 +246,11 @@ class TestSelectRoot:
         assert r.root == pytest.approx(-1.0, abs=1e-10)
 
     def test_nearest(self):
-        pol = BranchPolicy(selection="nearest", seed_root=0.9)
-        r = self.select(pol)
-        assert r.root == pytest.approx(1.0, abs=1e-10)
+        # roots -1.9, -0.9 and 0.1: the one nearest p = 0 is the highest
+        self.reports = enumerate_roots(cubic_relation(shift=-0.9),
+                                       (0.0, 0.0, 0.0, 0.0))
+        r = self.select(BranchPolicy(selection="nearest"))
+        assert r.root == pytest.approx(0.1, abs=1e-10)
 
     def test_index(self):
         r = self.select(BranchPolicy(selection=1))
