@@ -7,6 +7,12 @@ is immutable; differentiation returns a new AST over the same variables.
 
 Only constant folding and 0/1 identity elimination are performed; no
 general simplification.
+
+Compiled code evaluates a power whose exponent is the constant 2, 3 or 4
+as a product of its base, multiplied left to right, and every other power
+with `**`.  numpy evaluates `p**3.0` through libm `pow`, tens of times
+slower than `p*p*p`; a product can differ from `pow` in the last bit
+(within 2 ulp on finite normal results).
 """
 
 from __future__ import annotations
@@ -515,6 +521,13 @@ def to_source(e: Expr) -> str:
     raise ExprError(f"unknown node kind '{k}'")  # pragma: no cover
 
 
+# base^n for the integer exponents compiled to a product: the base is
+# evaluated once, whatever its source
+_PRODUCTS = {2.0: lambda b: b * b, 3.0: lambda b: b * b * b,
+             4.0: lambda b: b * b * b * b}
+_PRODUCT_NAMES = {n: f"_pow{int(n)}" for n in _PRODUCTS}
+
+
 def _pysource(e: Expr) -> str:
     k = e.kind
     if k == "const":
@@ -527,7 +540,10 @@ def _pysource(e: Expr) -> str:
         op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[k]
         return f"({_pysource(e.args[0])}{op}{_pysource(e.args[1])})"
     if k == "pow":
-        return f"({_pysource(e.args[0])}**{_pysource(e.args[1])})"
+        base, exponent = e.args
+        if exponent.kind == "const" and exponent.value in _PRODUCTS:
+            return f"{_PRODUCT_NAMES[exponent.value]}({_pysource(base)})"
+        return f"({_pysource(base)}**{_pysource(exponent)})"
     if k == "call":
         return f"{e.name}({_pysource(e.args[0])})"
     raise ExprError(f"unknown node kind '{k}'")  # pragma: no cover
@@ -541,11 +557,16 @@ def compile_expr(e: Expr, variables):
     the shape of the ones it uses, and a constant returns a Python float,
     so callers broadcast results to their lane shape.  Pass float64
     arrays, not bare Python floats: `1.0/p` at p = 0.0 would raise.
+
+    `^` with the constant exponent 2, 3 or 4 compiles to a product of the
+    base, multiplied left to right ((b*b)*b for 3), which can differ from
+    libm `pow` in the last bit; every other exponent compiles to `**`.
     """
     import numpy as np
 
     # env goes in globals: the lambda body resolves names there at call time
     env = {name: getattr(np, name) for name in FUNCTIONS}
+    env.update({_PRODUCT_NAMES[n]: f for n, f in _PRODUCTS.items()})
     try:
         src = f"lambda {', '.join(variables)}: {_pysource(e)}"
         return eval(src, {"__builtins__": {}, **env})  # noqa: S307 - closed namespace

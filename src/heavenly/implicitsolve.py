@@ -349,13 +349,13 @@ def _kept(program, level, pairs, bits):
 
 def _cells(rel: ImplicitRelation, policy: BranchPolicy):
     """Grid, first node of each coarse cell, nodes per coarse cell and bound
-    program.
+    program with the cell bounds of its p-only leaves (see _on_cells).
 
     The scan tree starts from SCAN_ROOTS coarse cells of SCAN_LEAF
     intervals times the least power of two that lets them cover the grid;
     a cell may run past the grid.  Without a bound program the whole grid
-    is one cell.  Built once per relation and grid; the cell bounds of the
-    program's p-only leaves are not kept (see _scan).
+    is one cell.  Built once per relation and grid: each p-only leaf keeps
+    the two ends of every cell of every level, 16 KB at 1 024 nodes.
     """
     key = (policy.p_lo, policy.p_hi, policy.resolution)
     cache = rel._cache
@@ -372,6 +372,7 @@ def _cells(rel: ImplicitRelation, policy: BranchPolicy):
             while cell * SCAN_ROOTS < last:
                 cell *= 2
             starts = np.arange(0, cell * SCAN_ROOTS, cell)
+            program = _on_cells(program, grid, SCAN_ROOTS, cell + 1)
         cache[key] = grid, starts, cell + 1, program
     return cache[key]
 
@@ -396,16 +397,14 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     shift = (roots - 1).bit_length()
     # nodes past the grid are evaluated but never reported
     padded = np.r_[grid, np.full(roots * (width - 1) + 1 - len(grid), np.nan)]
-    # A bound call keeps about eight arrays of its SCAN_BUDGET // 8 pairs
-    # alive.  An evaluated chunk holds its gathered nodes, their phi_vec
-    # values and products and phi_vec's temporaries, a quarter of
-    # SCAN_BUDGET each.
-    rows = SCAN_BUDGET // (8 * SCAN_ROOTS)
+    # A block is one slice of the cloud (CLOUD_CHUNK rows), so a slice
+    # descends the tree once.  The coarse bound of a block and a later
+    # bound call keep about eight arrays of their SCAN_BUDGET // 4 and
+    # SCAN_BUDGET // 8 pairs alive.  An evaluated chunk holds its gathered
+    # nodes, their phi_vec values and products and phi_vec's temporaries, a
+    # quarter of SCAN_BUDGET each.
+    rows = SCAN_BUDGET // (4 * SCAN_ROOTS)
     item = rows * roots     # pairs of a work item, at most
-    if program is not None:
-        # computed per call: kept with the relation, the bounds of every
-        # level would outlive the scan
-        program = _on_cells(program, grid, roots, width)
     # typed empty entries: a cloud whose cells are all cleared finds none
     found = {k: [np.zeros(0, dtype=float if k == "b_flo" else np.intp)]
              for k in ("b_owner", "b_col", "b_flo", "z_owner", "z_col")}
@@ -476,45 +475,57 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
 
 
 def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
-    """Safeguarded Newton on every bracket at once; converged lanes freeze.
+    """Safeguarded Newton on every bracket at once, on the live lanes only.
 
-    A lane whose Phi is not finite at an iterate ends unconverged: the
-    bracket's sign information is lost there, so the root is a hole.
+    A lane leaves with its iterate, iteration count and convergence when
+    Phi is within tol there, when its bracket collapses or after
+    MAX_NEWTON_ITER iterations.  A lane whose Phi is not finite at an
+    iterate leaves unconverged: the bracket's sign information is lost
+    there, so the root is a hole.
     """
     n = len(owner)
     cols = pts[owner].T
-    tol = TOL_ABS + TOL_REL * np.abs(cols[0])
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    p = 0.5 * (lo + hi)
+    p = np.empty(n)
     iterations = np.zeros(n, dtype=np.int32)
     converged = np.zeros(n, dtype=bool)
-    act = np.arange(n)
-    while act.size:
-        iterations[act] += 1
-        pa = p[act]
-        ca = cols[:, act]
+    # the live lanes: index, iterate, bracket, Phi at lo, coordinates, tol
+    act, pa, ca = np.arange(n), 0.5 * (lo + hi), cols
+    tol = TOL_ABS + TOL_REL * np.abs(cols[0])
+    it = 0
+    while act.size and it < MAX_NEWTON_ITER:
+        it += 1
         f = lanes(rel.phi(pa, *ca), act.size)
         finite = np.isfinite(f)
-        hit = finite & (np.abs(f) <= tol[act])
-        converged[act[hit]] = True
-        keep = finite & ~hit
-        act, pa, ca, f = act[keep], pa[keep], ca[:, keep], f[keep]
+        hit = finite & (np.abs(f) <= tol)
+        out = hit | ~finite
+        if out.any():
+            done = act[out]
+            p[done], iterations[done], converged[done] = pa[out], it, hit[out]
+            keep = ~out
+            act, pa, lo, hi, flo, ca, tol, f = (
+                v[..., keep] for v in (act, pa, lo, hi, flo, ca, tol, f))
+            if not act.size:
+                break
         # maintain the bracket
-        right = f * flo[act] < 0.0
-        a_lo = np.where(right, lo[act], pa)
-        a_hi = np.where(right, pa, hi[act])
-        flo[act] = np.where(right, flo[act], f)
+        right = f * flo < 0.0
+        lo = np.where(right, lo, pa)
+        hi = np.where(right, pa, hi)
+        flo = np.where(right, flo, f)
         d = lanes(rel.dphi(pa, *ca), act.size)
         cand = pa - f / d
-        step_ok = np.isfinite(d) & (d != 0.0) & (a_lo < cand) & (cand < a_hi)
-        pa = np.where(step_ok, cand, 0.5 * (a_lo + a_hi))
-        lo[act], hi[act], p[act] = a_lo, a_hi, pa
-        collapsed = a_hi - a_lo <= 1e-16 * (1.0 + np.abs(pa))
+        step_ok = np.isfinite(d) & (d != 0.0) & (lo < cand) & (cand < hi)
+        pa = np.where(step_ok, cand, 0.5 * (lo + hi))
+        collapsed = hi - lo <= 1e-16 * (1.0 + np.abs(pa))
         if collapsed.any():
             done = act[collapsed]
             fc = lanes(rel.phi(pa[collapsed], *ca[:, collapsed]), done.size)
-            converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[done])
-        act = act[~collapsed & (iterations[act] < MAX_NEWTON_ITER)]
+            p[done], iterations[done] = pa[collapsed], it
+            converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[collapsed])
+            keep = ~collapsed
+            act, pa, lo, hi, flo, ca, tol = (
+                v[..., keep] for v in (act, pa, lo, hi, flo, ca, tol))
+    # the lanes still live ran out of iterations
+    p[act], iterations[act] = pa, it
     d = lanes(rel.dphi(p, *cols), n)
     return p, d, iterations, converged
 
@@ -542,12 +553,14 @@ def enumerate_roots(rel: ImplicitRelation, points,
         if nz:
             root[nb:] = lo[nb:]
             deriv[nb:] = lanes(rel.dphi(lo[nb:], *pts[owner[nb:]].T), nz)
-    # brackets sit between grid nodes, exact zeros on them
-    position = np.concatenate((b_col + 0.5, z_col))
-    order = np.lexsort((position, owner))
-    return RootTable(owner=owner[order].astype(np.int32), root=root[order],
-                     deriv=deriv[order], iterations=iterations[order],
-                     converged=converged[order], points=pts)
+    if nz:
+        # _scan gives brackets in (row, node) order; brackets sit between
+        # grid nodes, exact zeros on them
+        order = np.lexsort((np.concatenate((b_col + 0.5, z_col)), owner))
+        owner, root, deriv, iterations, converged = (
+            v[order] for v in (owner, root, deriv, iterations, converged))
+    return RootTable(owner=owner.astype(np.int32), root=root, deriv=deriv,
+                     iterations=iterations, converged=converged, points=pts)
 
 
 def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:

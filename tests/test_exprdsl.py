@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from heavenly.exprdsl import (
     ExprError,
     ParseError,
     SmoothFn,
+    _pysource,
+    compile_expr,
     differentiate,
     evaluate,
     parse,
@@ -300,3 +304,41 @@ class TestSmoothFn:
         for x in (-1.2, 0.0, 0.7, 2.5):
             assert fast(x) == pytest.approx(evaluate(slow, {"p": x}),
                                             rel=1e-14)
+
+
+class TestIntegerPowers:
+    """p^2, p^3 and p^4 compile to products of the base, left to right."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_left_to_right_product_within_2_ulp_of_pow(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.choice([-1.0, 1.0], 20_000) \
+            * 10.0 ** rng.uniform(-120.0, 120.0, 20_000)
+        with np.errstate(all="ignore"):
+            got = compile_expr(parse(f"p^{n}", ["p"]), ["p"])(base)
+        for b, v in zip(base.tolist(), got.tolist()):
+            product = b
+            for _ in range(n - 1):
+                product *= b
+            assert v == product or math.isnan(v) and math.isnan(product)
+            if math.isfinite(v) and abs(v) >= sys.float_info.min:
+                assert abs(v - math.pow(b, n)) <= 2 * math.ulp(v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_special_values_as_np_power(self, n):
+        base = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
+                         1e-200, -1e-200])
+        with np.errstate(all="ignore"):
+            got = compile_expr(parse(f"p^{n}", ["p"]), ["p"])(base)
+            want = np.power(base, float(n))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("source", ["p^5", "p^2.5", "p^-3", "p^t"])
+    def test_other_exponents_compile_to_pow(self, source):
+        assert "**" in _pysource(parse(source, ["p", "t"]))
+
+    def test_base_evaluated_once(self):
+        source = _pysource(parse("(sin(p) + 1)^4", ["p"]))
+        assert source.count("sin(") == 1
+        assert "**" not in source

@@ -1,6 +1,7 @@
 """The cell-tree scan finds the same brackets and grid zeros as a scan of
 every grid node, bit for bit, and evaluates only the cells its bound cannot
-clear."""
+clear; Newton on the live lanes gives the roots of Newton on full-length
+lanes, bit for bit, and the root table keeps the scan's order."""
 
 import dataclasses
 import tracemalloc
@@ -11,19 +12,21 @@ import pytest
 
 from _families import halton_cloud, random_shock_family, sf, \
     shock_def_as_general
-from _scan_reference import full_scan
-from heavenly import exprdsl
+from _scan_reference import full_newton, full_scan
+from heavenly import exprdsl, implicitsolve
 from heavenly.cliapp import load_scenario
 from heavenly.implicitsolve import (
+    MAX_NEWTON_ITER,
     SCAN_BUDGET,
     SCAN_LEAF,
     BranchPolicy,
     ImplicitRelation,
     _cells,
     _kept,
+    _newton,
     _on_block,
-    _on_cells,
     _scan,
+    enumerate_roots,
     general_relation,
     relation_from_expr,
     shock_relation,
@@ -33,6 +36,7 @@ from heavenly.registry import (
     SharedProfile,
     ShockSolutionDef,
 )
+from heavenly.superpose import solve_chunks
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("shock_n2", "shock_n3", "general_unbalanced", "general_balanced",
@@ -246,11 +250,10 @@ class TestCellWork:
         # and the cloud is more than one block
         rel = general(T="-cos(p)")
         pts = cloud(2500)
-        grid, starts, width, program = _cells(rel, BranchPolicy())
+        _, starts, _, program = _cells(rel, BranchPolicy())
         coarse = np.arange(len(pts) * len(starts))
         with np.errstate(all="ignore"):
-            tree = _on_block(_on_cells(program, grid, len(starts), width),
-                             pts.T)
+            tree = _on_block(program, pts.T)
             kept = _kept(tree, 0, coarse, (len(starts) - 1).bit_length())
         assert np.array_equal(kept, coarse)
         shapes = []
@@ -302,6 +305,119 @@ class TestCellWork:
         _cells(rel, BranchPolicy(resolution=2048))
         assert calls == []
 
+    def test_cell_bounds_built_once_per_relation_and_grid(self, monkeypatch):
+        # three slices of 4 096 rows: the bounds of each seed relation are
+        # built by the first and kept for the others
+        sc = load_scenario(SCENARIO_DIR / "shock_n3.json")
+        family = sc.build_family()
+        calls = []
+        real = implicitsolve._on_cells
+        monkeypatch.setattr(implicitsolve, "_on_cells",
+                            lambda *a: calls.append(a) or real(*a))
+        slices = list(solve_chunks(family, sc.points(count=10_000, seed=2),
+                                   sc.policy))
+        assert len(slices) == 3
+        assert len(calls) == family.size
+        # another grid builds its own
+        with np.errstate(all="ignore"):
+            _cells(family.relation(0), BranchPolicy(resolution=2048))
+        assert len(calls) == family.size + 1
+
+
+def scan_then_newton(newton, rel, pts, policy):
+    """newton on every bracket that _scan finds."""
+    with np.errstate(all="ignore"):
+        grid, found = _scan(rel, pts, policy)
+        col = found["b_col"]
+        return newton(rel, pts, found["b_owner"], grid[col], grid[col + 1],
+                      found["b_flo"])
+
+
+def assert_same_newton(got, ref):
+    for name, a, b in zip(("p", "d", "iterations", "converged"), got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestNewtonOnLiveLanes:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_seed_relations(self, name):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        fam = sc.build_family()
+        pts = sc.points(count=20_000, seed=5)
+        for i in range(fam.size):
+            rel = fam.relation(i)
+            got = scan_then_newton(_newton, rel, pts, sc.policy)
+            assert_same_newton(got, scan_then_newton(full_newton, rel, pts,
+                                                     sc.policy))
+            assert got[3].all()
+
+    def test_non_finite_capped_and_collapsed_lanes(self):
+        # y selects a lane's Phi: 0 is a cubic, undefined on |p - t| < z;
+        # 1 jumps across 0 at p = x with no root, so Newton bisects until
+        # the bracket collapses, or for MAX_NEWTON_ITER iterations on a
+        # bracket too wide to collapse
+        def phi(p, x, y, z, t):
+            return np.where(np.abs(p - t) < z, np.nan,
+                            np.where(y > 0.5, np.sign(p - x), x + p**3 - p))
+
+        def dphi(p, x, y, z, t):
+            return np.where(y > 0.5, 0.0, 3.0 * p * p - 1.0)
+
+        rel = ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi)
+        rng = np.random.default_rng(8)
+        n = 3000
+        pts = np.column_stack((rng.uniform(-0.3, 0.3, n),
+                               rng.random(n) < 0.3,
+                               np.where(rng.random(n) < 0.5, 0.05, 0.0),
+                               rng.uniform(-1.5, 1.5, n)))
+        lo = rng.uniform(-2.0, 0.5, n)
+        hi = lo + rng.choice([1e-15, 0.1, 1.0, 2.5], n)
+        hi[rng.random(n) < 0.1] = 1e300
+        owner = np.arange(n)
+        with np.errstate(all="ignore"):
+            flo = phi(lo, *pts.T)
+            got = _newton(rel, pts, owner, lo, hi, flo)
+            assert_same_newton(got, full_newton(rel, pts, owner, lo, hi,
+                                                flo))
+            p, _, iterations, converged = got
+            final = phi(p, *pts.T)
+        lost = ~converged & ~np.isfinite(final)
+        collapsed = ~converged & np.isfinite(final) \
+            & (iterations < MAX_NEWTON_ITER)
+        assert (lost & (iterations > 1)).sum() > 10
+        assert collapsed.sum() > 10
+        assert (iterations == MAX_NEWTON_ITER).sum() > 10
+        assert converged.sum() > n // 10
+
+
+class TestRootOrder:
+    @pytest.mark.parametrize("name", ("shock_n3", "general_unbalanced"))
+    def test_brackets_ascend_by_row_then_node(self, name):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        fam = sc.build_family()
+        pts = sc.points(count=10_000, seed=6)
+        rels = [fam.relation(i) for i in range(fam.size)] + [general(
+            T="-cos(p)")]
+        for rel in rels:
+            with np.errstate(all="ignore"):
+                _, found = _scan(rel, pts, sc.policy)
+            key = found["b_owner"] * sc.policy.resolution + found["b_col"]
+            assert len(key) >= len(pts)
+            assert (np.diff(key) > 0).all()
+
+    @pytest.mark.parametrize("x", [(0.0, 0.1, 0.0, -0.2), (0.1, -0.2)])
+    def test_table_in_lexsort_order(self, x):
+        # Phi = x + p^3 - p on a dyadic grid: at x = 0 the root 0 is a grid
+        # zero and the roots near -1 and 1 are brackets
+        policy = BranchPolicy(resolution=1025)
+        pts = np.zeros((len(x), 4))
+        pts[:, 0] = x
+        table = enumerate_roots(general(T="p^3 - p"), pts, policy)
+        assert len(table) == 3 * len(x)
+        assert (table.iterations == 0).sum() == x.count(0.0)
+        order = np.lexsort((table.root, table.owner))
+        assert np.array_equal(order, np.arange(len(table)))
+
 
 # The bound reads the p-only terms on the full grid row and phi_vec
 # recomputes them on the nodes of the cells it evaluates, gathered as a
@@ -311,6 +427,9 @@ class TestCellWork:
 _ELEMENTWISE = {name: getattr(np, name) for name in exprdsl.FUNCTIONS}
 _ELEMENTWISE.update({f"**{e}": (lambda v, e=e: v ** e)
                      for e in (2.0, 3.0, 4.0, 0.5, -1.0, -2.0, 1.5)})
+# p^2, p^3 and p^4 as compiled: products of the base
+_ELEMENTWISE.update({f"^{n}": exprdsl.compile_expr(
+    exprdsl.parse(f"p^{n}", ["p"]), ["p"]) for n in (2, 3, 4)})
 
 
 @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
