@@ -25,10 +25,10 @@ import numpy as np
 
 from . import calculus, fdoracle
 from .superpose import (
-    FOLD,
-    HOLE,
     OK,
     STATUS,
+    balance_checks,
+    reduce_chunks,
     solve_chunks,
     summarize,
     theorem_checks,
@@ -452,14 +452,6 @@ def _check_writable(path: Path):
     raise OSError(code, os.strerror(code), str(path))
 
 
-def _tolerances(scenario: Scenario, args) -> dict:
-    """The scenario's tolerances, with --tol as the residual bound."""
-    tol = dict(scenario.tolerances)
-    if args.tol is not None:
-        tol["residual"] = args.tol
-    return tol
-
-
 def _above(value, tol) -> bool:
     """Whether a maximum fails its tolerance: nan, a check that could not
     be computed, fails too."""
@@ -474,10 +466,7 @@ def _verdict(failures: list, payload: dict) -> tuple[int, dict]:
                                         passed=not failures)
 
 
-def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
-    tol = _tolerances(scenario, args)
+def cmd_verify(scenario, family, points, tol, args) -> tuple[int, dict]:
     report = verify_theorem(family, scenario.coefficients, points,
                             policy=scenario.policy,
                             threshold=tol["residual"])
@@ -499,6 +488,9 @@ def cmd_verify(scenario: Scenario, args) -> tuple[int, dict]:
     else:
         if _above(ch["seed_ghe"]["max"], tol["seed_residual"]):
             failures.append("violation control: seeds do not solve the equation")
+        if _above(ch["seed_compat"]["max"], tol["seed_residual"]):
+            failures.append("violation control: seed compatibility residual "
+                            "above tolerance")
         # a nan median is no violation observed
         if not ch["superposed_ghe"]["median"] > tol["violation"]:
             failures.append("expected violation not observed at most points")
@@ -546,9 +538,7 @@ def _csv_rows(family, coeffs, cloud, first: int):
             yield failed_row % (idx, STATUS[status], *point)
 
 
-def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
+def cmd_sample(scenario, family, points, tol, args) -> tuple[int, dict]:
     out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
 
     n_rows = n_ok = 0
@@ -564,28 +554,13 @@ def cmd_sample(scenario: Scenario, args) -> tuple[int, dict]:
                "passed": True}
 
 
-def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    points = scenario.points(count=args.points, seed=args.seed)
-    tol = _tolerances(scenario, args)
-
-    shared = family.shared
-    parts = {"pairwise": [], "n_term": [], "reduced": []}
-    n_admissible = 0
-    for cloud in solve_chunks(family, points, scenario.policy):
-        samples = cloud.samples
-        cross = calculus.pairwise_balances(samples, shared)
-        for (i, j), rep in cross.items():
-            parts["pairwise"].append(rep.normalized)
-            if family.kind == "general":
-                parts["reduced"].append(calculus.reduced_balance(
-                    samples[i], samples[j], shared).normalized)
-        parts["n_term"].append(calculus.n_term_balance(
-            cross, len(cloud.admissible)).normalized)
-        n_admissible += len(cloud.admissible)
-
+def cmd_balance(scenario, family, points, tol, args) -> tuple[int, dict]:
+    reduced = family.kind == "general"
+    parts, counts = reduce_chunks(
+        family, points, scenario.policy,
+        lambda cloud: balance_checks(cloud.samples, family.shared, reduced))
     result = {name: summarize(values) for name, values in parts.items()}
-    result["admissible"] = n_admissible
+    n_admissible = result["admissible"] = counts[OK]
 
     failures = []
     if n_admissible == 0:
@@ -610,39 +585,32 @@ def cmd_balance(scenario: Scenario, args) -> tuple[int, dict]:
     return _verdict(failures, {"expect": scenario.expect, "result": result})
 
 
-def cmd_fdcheck(scenario: Scenario, args) -> tuple[int, dict]:
-    family = scenario.build_family()
-    count = args.points if args.points is not None else \
-        min(scenario.count, 100)
-    points = scenario.points(count=count, seed=args.seed)
-    tol = args.tol if args.tol is not None else scenario.tolerances["fd"]
-
-    n_ok = n_hole = n_near_fold = 0
-    max_dev = 0.0
-    for cloud in solve_chunks(family, points, scenario.policy):
-        # the near-fold count is the solve's folds, |D| < FOLD_TOL
-        n_hole += cloud.count(HOLE)
-        n_near_fold += cloud.count(FOLD)
-        for i, s in enumerate(cloud.samples):
-            cert = fdoracle.certify_sample(s, family, i)
-            n_ok += cert.certified
-            n_hole += cert.holes
-            # a nan deviation is kept, whichever slice it is in
-            max_dev = float(np.maximum(max_dev, cert.max_deviation))
+def cmd_fdcheck(scenario, family, points, tol, args) -> tuple[int, dict]:
+    # the near-fold count is the solve's folds, |D| < FOLD_TOL
+    joined, (_admissible, n_hole, n_near_fold) = reduce_chunks(
+        family, points, scenario.policy,
+        lambda cloud: {"certs": [fdoracle.certify_sample(s, family, i)
+                                 for i, s in enumerate(cloud.samples)]})
+    certs = joined["certs"]
+    n_ok = sum(cert.certified for cert in certs)
+    n_hole += sum(cert.holes for cert in certs)
+    # a nan deviation is kept, whichever slice it is in
+    max_dev = float(np.max([cert.max_deviation for cert in certs],
+                           initial=0.0))
 
     failures = []
     if n_ok == 0:
         failures.append("no certifiable samples")
-    elif _above(max_dev, tol):
+    elif _above(max_dev, tol["fd"]):
         failures.append("finite-difference deviation above tolerance")
 
     print(f"scenario: {scenario.name}")
     print(f"certified: {n_ok}  near-fold skipped: {n_near_fold}  "
           f"holes: {n_hole}")
-    print(f"max deviation: {_fmt(max_dev)} (tolerance {tol:.1e})")
+    print(f"max deviation: {_fmt(max_dev)} (tolerance {tol['fd']:.1e})")
     return _verdict(failures, {"result": {
         "certified": n_ok, "near_fold": n_near_fold, "holes": n_hole,
-        "max_deviation": max_dev, "tolerance": tol}})
+        "max_deviation": max_dev, "tolerance": tol["fd"]}})
 
 
 _COMMANDS = {"verify": cmd_verify, "sample": cmd_sample,
@@ -693,7 +661,16 @@ def main(argv=None) -> int:
                       or f"{Path(args.scenario).stem}.report.json")
         _check_writable(report)
         scenario = load_scenario(args.scenario)
-        code, payload = _COMMANDS[args.command](scenario, args)
+        family = scenario.build_family()
+        count = args.points
+        if count is None and args.command == "fdcheck":
+            count = min(scenario.count, 100)
+        points = scenario.points(count=count, seed=args.seed)
+        tol = dict(scenario.tolerances)
+        if args.tol is not None:
+            tol["fd" if args.command == "fdcheck" else "residual"] = args.tol
+        code, payload = _COMMANDS[args.command](scenario, family, points,
+                                                tol, args)
         _write_report(report, dict(
             payload, schema_version=REPORT_SCHEMA_VERSION,
             command=args.command, scenario=scenario.name))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calculus
 from .calculus import (
     FIELD_NAMES,
     NORM_GUARD,
@@ -211,37 +212,58 @@ def theorem_checks(samples, shared, coeffs):
     }
 
 
+def balance_checks(samples, shared, reduced: bool):
+    """Each balance residual of one solved slice, normalised, as a list of
+    lane arrays: one per seed pair, the n-term sum, and the reduced
+    condition per pair when `reduced`, else none."""
+    cross = pairwise_balances(samples, shared)
+    return {
+        "pairwise": [rep.normalized for rep in cross.values()],
+        "n_term": [n_term_balance(cross, len(samples[0].p)).normalized],
+        "reduced": [calculus.reduced_balance(samples[i], samples[j],
+                                             shared).normalized
+                    for i, j in cross] if reduced else [],
+    }
+
+
+def reduce_chunks(family, points, policy: BranchPolicy, checks):
+    """Solve a cloud slice by slice and join what each slice keeps.
+
+    checks(cloud) maps names to lists for one solved slice; the lists of
+    each name are joined in cloud order.  Returns the joined dict and the
+    number of points of each status, as ints in the order of STATUS.
+    """
+    joined, counts = {}, 0
+    for cloud in solve_chunks(family, points, policy):
+        for name, values in checks(cloud).items():
+            joined.setdefault(name, []).extend(values)
+        counts = counts + np.bincount(cloud.status, minlength=len(STATUS))
+    return joined, counts.tolist()
+
+
 def verify_theorem(family, coeffs, points,
                    policy: BranchPolicy = BranchPolicy(),
                    threshold: float = 1e-9) -> TheoremReport:
     """Run the full verification over a point cloud, one slice at a time.
 
-    Each slice keeps only its checks' normalised residuals and its counts;
-    count, max and median do not depend on the order of the values.
+    Each slice keeps only its checks' normalised residuals; count, max
+    and median do not depend on the order of the values.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != family.size:
         raise SuperposeError("one coefficient per seed required")
 
-    checks = {}
-    n_points = n_admissible = n_holes = n_folds = n_pass = 0
-    for cloud in solve_chunks(family, points, policy):
-        _sup, part = theorem_checks(cloud.samples, family.shared, coeffs)
-        for name, values in part.items():
-            checks.setdefault(name, []).extend(values)
-        n_pass += int(np.count_nonzero(part["superposed_ghe"][0]
-                                       <= threshold))
-        n_points += len(cloud.points)
-        n_admissible += len(cloud.admissible)
-        n_holes += cloud.count(HOLE)
-        n_folds += cloud.count(FOLD)
-    for name in checks:
-        checks[name] = summarize(checks[name])
+    checks, counts = reduce_chunks(
+        family, points, policy,
+        lambda cloud: theorem_checks(cloud.samples, family.shared, coeffs)[1])
+    n_pass = sum(int(np.count_nonzero(values <= threshold))
+                 for values in checks["superposed_ghe"])
+    n_admissible = counts[OK]
     return TheoremReport(
-        n_points=n_points,
+        n_points=sum(counts),
         n_admissible=n_admissible,
-        n_holes=n_holes,
-        n_folds=n_folds,
-        checks=checks,
+        n_holes=counts[HOLE],
+        n_folds=counts[FOLD],
+        checks={name: summarize(values) for name, values in checks.items()},
         pass_fraction=(n_pass / n_admissible) if n_admissible else 0.0,
         threshold=threshold)

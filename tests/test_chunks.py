@@ -7,16 +7,19 @@ same bytes.  The slices of the golden hole and fold clouds must also add
 up to the whole-cloud solve: statuses, failed seeds, samples and the first
 failure.  Each command computes a slice's cross term of each seed pair once,
 and the residual columns of `sample` are the arrays of
-superpose.theorem_checks.
+superpose.theorem_checks.  superpose.reduce_chunks joins the slices' lists
+and status counts, and `fdcheck` keeps a nan deviation of any slice.
 """
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heavenly import calculus, cliapp, superpose
+from heavenly import calculus, cliapp, fdoracle, superpose
 from heavenly.calculus import FIELD_NAMES
 from heavenly.cliapp import MAX_POINTS, main
 from test_golden import CASES, build
@@ -109,6 +112,14 @@ def test_slices_add_up_to_the_whole_cloud(name, monkeypatch):
                        int(got["failed_seed"][bad]))
     for status in (superpose.HOLE, superpose.FOLD):
         assert sum(c.count(status) for c in slices) == whole.count(status)
+    # reduce_chunks joins each slice's lists in cloud order and sums the
+    # status counts as Python ints, which json.dumps accepts
+    joined, counts = superpose.reduce_chunks(
+        family, pts, policy, lambda cloud: {"rows": [len(cloud.points)]})
+    assert joined == {"rows": [len(c.points) for c in slices]}
+    assert counts == [sum(c.count(status) for c in slices)
+                      for status in range(len(superpose.STATUS))]
+    assert all(type(n) is int for n in counts)
 
 
 def test_an_empty_cloud_is_one_empty_slice():
@@ -119,6 +130,33 @@ def test_an_empty_cloud_is_one_empty_slice():
                                       policy=policy)
     assert report.n_points == 0
     assert all(check["count"] == 0 for check in report.checks.values())
+
+
+def test_a_nan_deviation_in_a_middle_slice_fails_fdcheck(tmp_path,
+                                                         monkeypatch, capsys):
+    # 300 points in slices of 64 are 5 slices; the nan is in the second.
+    # Builtin max would drop it whichever operand order it takes.
+    certify = fdoracle.certify_sample
+    calls = []
+
+    def nan_in_slice_two(sample, family, index):
+        calls.append(index)
+        cert = certify(sample, family, index)
+        if len(calls) == family.size + 1:
+            cert = dataclasses.replace(cert, max_deviation=float("nan"))
+        return cert
+
+    monkeypatch.setattr(fdoracle, "certify_sample", nan_in_slice_two)
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", 64)
+    report = tmp_path / "r.json"
+    assert main(["fdcheck", str(ROOT / "scenarios" / "shock_n3.json"),
+                 "--points", "300", "--report", str(report)]) == 1
+    assert len(calls) == 5 * 3
+    out = capsys.readouterr().out
+    assert "max deviation: nan" in out
+    assert "finite-difference deviation above tolerance" in out
+    assert math.isnan(json.loads(report.read_text())["result"]
+                      ["max_deviation"])
 
 
 @pytest.mark.parametrize("command", ["verify", "balance", "sample"])

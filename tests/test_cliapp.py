@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import heavenly
+from heavenly import calculus
 from heavenly.cliapp import (
     MAX_POINTS,
     MAX_RESOLUTION,
@@ -431,6 +432,37 @@ def test_violate_mode_honours_seed_residual(tmp_path, monkeypatch, capsys):
     raw["tolerances"] = {"seed_residual": 1e-17}
     assert main(["verify", write_scenario(tmp_path, raw)]) == 1
     assert "seeds do not solve the equation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, clean_code", [
+    ("general_unbalanced", 0),
+    # balanced seeds marked violate: no violation to observe
+    ("general_balanced", 1),
+])
+def test_violate_mode_fails_a_derivative_bug(name, clean_code, tmp_path,
+                                             monkeypatch, capsys):
+    # p_y -> 1.7 p_y + 0.3.  seed_ghe cannot see it: each bracket of a
+    # general seed is one product written in two orders, so the seeds still
+    # solve the equation to rounding.  seed_compat (p_y = q_x) reads about 2.
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(Path(scenario_path(name)).read_text())
+    raw["expect"] = "violate"
+    path = write_scenario(tmp_path, raw)
+    gate = "violation control: seed compatibility residual above tolerance"
+    assert main(["verify", path]) == clean_code
+    assert gate not in capsys.readouterr().out
+
+    implicit = calculus._implicit
+
+    def skewed(point, p, D, phi, q, r):
+        phi = (1.7 * phi[0] - 0.3 * D, phi[1], phi[2])
+        return implicit(point, p, D, phi, q, r)
+
+    monkeypatch.setattr(calculus, "_implicit", skewed)
+    assert main(["verify", path]) == 1
+    out = capsys.readouterr().out
+    assert gate in out
+    assert "seeds do not solve the equation" not in out
 
 
 class TestNanFails:

@@ -39,8 +39,9 @@ def test_verify_theorem_peak():
 
 def test_sample_peak(tmp_path):
     sc = load_scenario(ROOT / "scenarios" / "shock_n3.json")
-    args = SimpleNamespace(points=12_000, seed=0, tol=None,
-                           out=str(tmp_path / "shock_n3.csv"))
+    args = SimpleNamespace(out=str(tmp_path / "shock_n3.csv"))
     with contextlib.redirect_stdout(io.StringIO()):
-        peak = _peak(lambda: cmd_sample(sc, args))
+        peak = _peak(lambda: cmd_sample(
+            sc, sc.build_family(), sc.points(count=12_000, seed=0),
+            sc.tolerances, args))
     assert peak < 30 * MB
