@@ -1,8 +1,9 @@
 """Closed-form field derivatives and residuals over point clouds.
 
 All first derivatives of (p, q, r) come from one implicit-function-theorem
-step, _implicit, fed by each family's table of partials of its hodograph
-relation and of q and r; fdoracle.py certifies them by finite differences.
+step, _implicit, fed D and the gradient of Phi by the seed's compiled
+relation and q, r and their partials by each family's own formulas;
+fdoracle.py certifies them by finite differences.
 Every equation residual and balance term comes from one table, BRACKETS,
 of the Poisson brackets of the general heavenly equation.
 
@@ -29,8 +30,9 @@ class FieldSample:
     """Values and first partials of (p, q, r) over a cloud.
 
     Every field is an array with one lane per point and point is the
-    (N, 4) cloud.  A seed's sample also keeps the relation partials q_p,
-    r_p and Phi_t that its fields came from; a superposed sample has none.
+    (N, 4) cloud.  A seed's sample also keeps the partials its fields came
+    from: q_p and r_p of the family's q and r, and the relation's Phi_t; a
+    superposed sample has none.
     """
 
     p: np.ndarray
@@ -96,43 +98,33 @@ def _implicit(point, p, D, phi, q, r) -> FieldSample:
 
 
 @np.errstate(all="ignore")
-def shock_derivatives(sdef, shared, point, proot) -> FieldSample:
-    """Implicit differentiation of x + S F'(p) + G(p) = 0, S = a+b+d.
-
-    q = m(y) + beta'(y) F(p), r = n(z) + delta'(z) F(p).
-    """
+def shock_derivatives(rel, sdef, shared, point, proot) -> FieldSample:
+    """The implicit step on the seed's relation rel, with
+    q = m(y) + beta'(y) F(p) and r = n(z) + delta'(z) F(p)."""
     (x, y, z, t), p = cloud_lanes(point, proot)
     F0 = sdef.F.compiled((0,))(p)
     F1 = sdef.F.compiled((1,))(p)
     be1 = shared.beta.compiled((1,))(y)
     de1 = shared.delta.compiled((1,))(z)
-    S = (shared.alpha.compiled((0,))(t) + shared.beta.compiled((0,))(y)
-         + shared.delta.compiled((0,))(z))
-    D = S * sdef.F.compiled((2,))(p) + sdef.G.compiled((1,))(p)
-    phi = (be1 * F1, de1 * F1, shared.alpha.compiled((1,))(t) * F1)
     q = (sdef.m.compiled((0,))(y) + be1 * F0, be1 * F1,
          sdef.m.compiled((1,))(y) + shared.beta.compiled((2,))(y) * F0)
     r = (sdef.n.compiled((0,))(z) + de1 * F0, de1 * F1,
          sdef.n.compiled((1,))(z) + shared.delta.compiled((2,))(z) * F0)
-    return _implicit(point, p, D, phi, q, r)
+    at = (p, x, y, z, t)
+    return _implicit(point, p, rel.dphi(*at), [g(*at) for g in rel.grad], q, r)
 
 
 @np.errstate(all="ignore")
-def general_derivatives(gdef, point, proot) -> FieldSample:
-    """Implicit differentiation of x + d1Q + d1R + T(p,t) = 0.
-
-    D = d11Q + d11R + d1T (the d1T term is required: T enters the relation
-    directly, confirmed against the finite-difference oracle).
-    """
+def general_derivatives(rel, gdef, point, proot) -> FieldSample:
+    """The implicit step on the seed's relation rel, with q = d2Q(p, y)
+    and r = d2R(p, z)."""
     (x, y, z, t), p = cloud_lanes(point, proot)
-    Q12 = gdef.Q.compiled((1, 1))(p, y)
-    R12 = gdef.R.compiled((1, 1))(p, z)
-    D = (gdef.Q.compiled((2, 0))(p, y) + gdef.R.compiled((2, 0))(p, z)
-         + gdef.T.compiled((1, 0))(p, t))
-    phi = (Q12, R12, gdef.T.compiled((0, 1))(p, t))
-    q = (gdef.Q.compiled((0, 1))(p, y), Q12, gdef.Q.compiled((0, 2))(p, y))
-    r = (gdef.R.compiled((0, 1))(p, z), R12, gdef.R.compiled((0, 2))(p, z))
-    return _implicit(point, p, D, phi, q, r)
+    q = (gdef.Q.compiled((0, 1))(p, y), gdef.Q.compiled((1, 1))(p, y),
+         gdef.Q.compiled((0, 2))(p, y))
+    r = (gdef.R.compiled((0, 1))(p, z), gdef.R.compiled((1, 1))(p, z),
+         gdef.R.compiled((0, 2))(p, z))
+    at = (p, x, y, z, t)
+    return _implicit(point, p, rel.dphi(*at), [g(*at) for g in rel.grad], q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -48,25 +48,28 @@ RELATION_VARIABLES = ("p", "x", "y", "z", "t")
 
 @dataclass(frozen=True)
 class ImplicitRelation:
-    """Bundle of Phi and D = dPhi/dp as numpy callables f(p, x, y, z, t).
+    """Bundle of Phi, D = dPhi/dp and grad = (Phi_y, Phi_z, Phi_t) as
+    numpy callables f(p, x, y, z, t).
 
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
-    (one value per bracket); phi_vec on scan cells: a (pairs, nodes) array
-    of the grid nodes of each (point, cell) pair against the (pairs, 1)
-    columns of its point, or, for a relation without a bound, the (1, n)
-    grid row against (k, 1) columns.  A result may come back as a Python
-    float when the expression is constant, so callers broadcast.
+    (one value per bracket), dphi and grad at the chosen roots too;
+    phi_vec on scan cells: a (pairs, nodes) array of the grid nodes of each
+    (point, cell) pair against the (pairs, 1) columns of its point, or, for
+    a relation without a bound, the (1, n) grid row against (k, 1) columns.
+    A result may come back as a Python float when the expression is
+    constant, so callers broadcast.
 
     expr is the Phi expression over RELATION_VARIABLES that the callables
-    were compiled from (see relation_from_expr), or None for a relation
-    built from callables alone; the scan bounds Phi cell by cell only when
-    it has one.
+    were compiled from (see relation_from_expr), or None (and no grad) for
+    a relation built from callables alone; the scan bounds Phi cell by cell
+    only when it has one.
     """
 
     phi: callable
     dphi: callable
     phi_vec: callable
     expr: exprdsl.Expr | None = None
+    grad: tuple | None = None
     # the scan's bound program and cell bounds, built once per relation
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -197,15 +200,16 @@ def _pick(root, first, counts, selection) -> np.ndarray:
 
 
 def relation_from_expr(expr: exprdsl.Expr) -> ImplicitRelation:
-    """phi, dphi and phi_vec compiled from one Phi expression."""
+    """phi, dphi, phi_vec and grad compiled from one Phi expression."""
     phi = exprdsl.compile_expr(expr, RELATION_VARIABLES)
-    dphi = exprdsl.compile_expr(exprdsl.differentiate(expr, "p"),
-                                RELATION_VARIABLES)
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi, expr=expr)
+    dphi, *grad = (exprdsl.compile_expr(exprdsl.differentiate(expr, v),
+                                        RELATION_VARIABLES) for v in "pyzt")
+    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi, expr=expr,
+                            grad=tuple(grad))
 
 
 def shock_relation(sdef, shared) -> ImplicitRelation:
-    """Phi = x + (alpha+beta+delta) F'(p) + G(p); D = S F'' + G'."""
+    """Phi = x + (alpha(t) + beta(y) + delta(z)) F'(p) + G(p)."""
     S = exprdsl.add(exprdsl.add(shared.alpha.expr, shared.beta.expr),
                     shared.delta.expr)
     return relation_from_expr(exprdsl.add(
@@ -214,7 +218,7 @@ def shock_relation(sdef, shared) -> ImplicitRelation:
 
 
 def general_relation(gdef) -> ImplicitRelation:
-    """Phi = x + d1Q(p,y) + d1R(p,z) + T(p,t); D = d11Q + d11R + d1T."""
+    """Phi = x + d1Q(p,y) + d1R(p,z) + T(p,t)."""
     return relation_from_expr(exprdsl.add(exprdsl.add(exprdsl.add(
         exprdsl.var("x"), gdef.Q.partial(1, 0)), gdef.R.partial(1, 0)),
         gdef.T.expr))

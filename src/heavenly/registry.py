@@ -100,7 +100,7 @@ _SHARED_PRECOMPUTE = {
 _GENERAL_PRECOMPUTE = {
     "Q": [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)],
     "R": [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)],
-    "T": [(0, 0), (1, 0), (2, 0), (0, 1)],
+    "T": [(0, 0), (1, 0), (0, 1)],
 }
 
 _PROBE_POINTS = np.array([-0.73, 0.11, 0.97])
@@ -166,8 +166,8 @@ class ShockFamily(_Family):
         return implicitsolve.shock_relation(d, self.shared)
 
     def sample(self, i: int, point, proot):
-        return calculus.shock_derivatives(self.defs[i], self.shared, point,
-                                          proot)
+        return calculus.shock_derivatives(self.relation(i), self.defs[i],
+                                          self.shared, point, proot)
 
     def values(self, i: int, point, proot):
         """(p, q, r) values only, no implicit-function-theorem division.
@@ -193,7 +193,8 @@ class GeneralFamily(_Family):
         return implicitsolve.general_relation(d)
 
     def sample(self, i: int, point, proot):
-        return calculus.general_derivatives(self.defs[i], point, proot)
+        return calculus.general_derivatives(self.relation(i), self.defs[i],
+                                            point, proot)
 
     def values(self, i: int, point, proot):
         (x, y, z, t), p = cloud_lanes(point, proot)

@@ -113,9 +113,6 @@ class CloudSolution:
     admissible: np.ndarray
     samples: list
 
-    def count(self, status: int) -> int:
-        return int(np.count_nonzero(self.status == status))
-
 
 def _rows(pts, idx):
     """pts[idx] for ascending row indices, without a copy when idx is all."""

@@ -26,7 +26,12 @@ from heavenly.calculus import (
     shock_derivatives,
 )
 from heavenly.cliapp import load_scenario
-from heavenly.implicitsolve import BranchPolicy, enumerate_roots
+from heavenly.implicitsolve import (
+    BranchPolicy,
+    enumerate_roots,
+    general_relation,
+    shock_relation,
+)
 from heavenly.registry import (
     GeneralSolutionDef,
     ShockSolutionDef,
@@ -41,7 +46,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 class TestShockDerivatives:
     def test_worked_example(self):
         shared = simple_shared()
-        s = shock_derivatives(quadratic_shock_def(), shared,
+        sdef = quadratic_shock_def()
+        s = shock_derivatives(shock_relation(sdef, shared), sdef, shared,
                               (1.0, 1.0, 1.0, 1.0), -0.25)
         assert s.p == -0.25
         assert s.p_x == pytest.approx(-0.25)
@@ -56,9 +62,9 @@ class TestShockDerivatives:
         sdef = ShockSolutionDef(F=sf("p^2/2", ("p",)), G=sf("p", ("p",)),
                                 m=sf("sin(y)", ("y",)), n=sf("0", ("z",)))
         point = (0.5, 0.8, 1.1, 0.9)
-        roots = enumerate_roots(build_shock_family([sdef], shared).relation(0),
-                                point)
-        s = shock_derivatives(sdef, shared, point, roots[0].root)
+        rel = build_shock_family([sdef], shared).relation(0)
+        roots = enumerate_roots(rel, point)
+        s = shock_derivatives(rel, sdef, shared, point, roots[0].root)
         assert s.p_y == 0.0
         assert s.q == pytest.approx(np.sin(0.8))
 
@@ -67,9 +73,9 @@ class TestShockDerivatives:
         sdef = ShockSolutionDef(F=sf("p", ("p",)), G=sf("p^3/3 + p", ("p",)),
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
         point = (0.2, 1.0, 1.0, 1.0)
-        root = enumerate_roots(build_shock_family([sdef], shared).relation(0),
-                               point)[0].root
-        s = shock_derivatives(sdef, shared, point, root)
+        rel = build_shock_family([sdef], shared).relation(0)
+        root = enumerate_roots(rel, point)[0].root
+        s = shock_derivatives(rel, sdef, shared, point, root)
         # F'' = 0 so D = G'(p) = p^2 + 1
         assert s.p_x == pytest.approx(-1.0 / (root ** 2 + 1.0))
 
@@ -82,7 +88,8 @@ class TestShockDerivatives:
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = shock_derivatives(sdef, shared, (0.0, 1.0, 1.0, 1.0), 0.0)
+            s = shock_derivatives(shock_relation(sdef, shared), sdef, shared,
+                                  (0.0, 1.0, 1.0, 1.0), 0.0)
         assert not np.isfinite(s.p_x).any()
 
     def test_gradient_proportionality(self):
@@ -94,7 +101,8 @@ class TestShockDerivatives:
         fam = build_shock_family([sdef], shared)
         for point in halton_cloud(50, seed=1):
             root = enumerate_roots(fam.relation(0), point)[0]
-            s = shock_derivatives(sdef, shared, point, root.root)
+            s = shock_derivatives(fam.relation(0), sdef, shared, point,
+                                  root.root)
             al1 = shared.alpha.compiled((1,))(point[3])
             be1 = shared.beta.compiled((1,))(point[1])
             de1 = shared.delta.compiled((1,))(point[2])
@@ -112,7 +120,8 @@ class TestGeneralDerivatives:
         g = GeneralSolutionDef(Q=sf("p^2*y/2", ("p", "y")),
                                R=sf("p^2*z/2", ("p", "z")),
                                T=sf("p", ("p", "t")))
-        s = general_derivatives(g, (0.0, 1.0, 1.0, 0.0), 0.0)
+        s = general_derivatives(general_relation(g), g, (0.0, 1.0, 1.0, 0.0),
+                                0.0)
         assert s.p_x == pytest.approx(-1.0 / 3.0)
         assert s.p_t == 0.0
 
@@ -123,7 +132,7 @@ class TestGeneralDerivatives:
         fam = build_general_family([g], simple_shared())
         point = (0.4, 1.0, 1.2, 0.7)
         root = enumerate_roots(fam.relation(0), point)[0].root
-        s = general_derivatives(g, point, root)
+        s = general_derivatives(fam.relation(0), g, point, root)
         assert s.p_t == 0.0
 
     def test_identity_like_case(self):
@@ -132,7 +141,8 @@ class TestGeneralDerivatives:
         g = GeneralSolutionDef(Q=sf("0", ("p", "y")),
                                R=sf("0", ("p", "z")),
                                T=sf("p", ("p", "t")))
-        s = general_derivatives(g, (0.7, 1.0, 1.0, 1.0), -0.7)
+        s = general_derivatives(general_relation(g), g, (0.7, 1.0, 1.0, 1.0),
+                                -0.7)
         assert s.p_x == -1.0
         assert (s.p_y, s.p_z, s.p_t) == (0.0, 0.0, 0.0)
         assert (s.q, s.r) == (0.0, 0.0)
@@ -144,7 +154,8 @@ class TestGeneralDerivatives:
                                T=sf("sqrt(p) - 0.3", ("p", "t")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = general_derivatives(g, (0.3, 1.0, 1.0, 1.0), 0.0)
+            s = general_derivatives(general_relation(g), g,
+                                    (0.3, 1.0, 1.0, 1.0), 0.0)
         assert s.p_x == 0.0 and s.p_t == 0.0
 
 
@@ -299,7 +310,8 @@ class TestReducedBalance:
     def test_identical_defs_vanish(self):
         shared = simple_shared()
         g1, _ = unbalanced_general_pair()
-        s = general_derivatives(g1, (0.3, 1.0, 1.0, 1.0), 0.4)
+        s = general_derivatives(general_relation(g1), g1,
+                                (0.3, 1.0, 1.0, 1.0), 0.4)
         rep = reduced_balance(s, s, shared)
         assert rep.value == 0.0
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import heavenly
-from heavenly import calculus
+from heavenly import calculus, exprdsl
 from heavenly.cliapp import (
     MAX_POINTS,
     MAX_RESOLUTION,
@@ -463,6 +463,27 @@ def test_violate_mode_fails_a_derivative_bug(name, clean_code, tmp_path,
     out = capsys.readouterr().out
     assert gate in out
     assert "seeds do not solve the equation" not in out
+
+
+@pytest.mark.parametrize("name", ["general_balanced", "shock_n2", "shock_n3"])
+def test_seed_compat_sees_a_q_p_error(name, tmp_path, monkeypatch, capsys):
+    # q_p -> 1.7 q_p: Q's (1, 1) partial on the general family, beta' on the
+    # shock family.  The relation compiles through compile_expr, not
+    # SmoothFn.compiled, so its Phi_y stays exact and seed_compat, which
+    # reads (q_p - Phi_y) / D, sees the error.
+    monkeypatch.chdir(tmp_path)
+    compiled = exprdsl.SmoothFn.compiled
+
+    def scaled(self, orders=None):
+        fn = compiled(self, orders)
+        if (self.variables, orders) in ((("p", "y"), (1, 1)), (("y",), (1,))):
+            return lambda *args: 1.7 * fn(*args)
+        return fn
+
+    monkeypatch.setattr(exprdsl.SmoothFn, "compiled", scaled)
+    assert main(["verify", scenario_path(name)]) == 1
+    assert "seed compatibility residual above tolerance" in \
+        capsys.readouterr().out
 
 
 class TestNanFails:

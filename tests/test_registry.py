@@ -1,7 +1,8 @@
 import pytest
 
-from _families import polynomial_antiderivative, quadratic_shock_def, \
-    second_shock_def, sf, shock_def_as_general, simple_shared
+from _families import halton_cloud, polynomial_antiderivative, \
+    quadratic_shock_def, second_shock_def, sf, shock_def_as_general, \
+    simple_shared
 from heavenly.exprdsl import ExprError, evaluate
 from heavenly.implicitsolve import enumerate_roots
 from heavenly.registry import (
@@ -12,6 +13,7 @@ from heavenly.registry import (
     build_general_family,
     build_shock_family,
 )
+from heavenly.superpose import verify_theorem
 
 
 class TestSharedProfile:
@@ -78,6 +80,23 @@ class TestBuildGeneralFamily:
                                T=sf("t", ("p", "t")))
         fam = build_general_family([g], simple_shared())
         assert fam.size == 1
+
+    def test_unread_T_partial_is_not_probed(self):
+        # d11T holds ((p+0.73)(p-0.11)(p-0.97))^-0.5, infinite at every
+        # probe point.  No check reads it (D comes from the relation), so
+        # the general_balanced family with this second seed builds, and its
+        # seeds solve the equation where they are admissible.
+        seeds = [GeneralSolutionDef(Q=sf("y^2/2 + y*p^2/2", ("p", "y")),
+                                    R=sf("z*p^2/2", ("p", "z")),
+                                    T=sf("t*p + p", ("p", "t"))),
+                 GeneralSolutionDef(
+                     Q=sf("y*p^2", ("p", "y")), R=sf("z*p^2", ("p", "z")),
+                     T=sf("((p+0.73)*(p-0.11)*(p-0.97))^1.5*t + 2*t*p",
+                          ("p", "t")))]
+        fam = build_general_family(seeds, simple_shared())
+        rep = verify_theorem(fam, [2.0, -1.0], halton_cloud(100, seed=3))
+        assert rep.n_admissible > 0
+        assert rep.checks["seed_ghe"]["max"] <= 1e-12
 
 
 class TestPolynomialAntiderivative:
