@@ -22,19 +22,19 @@ from .implicitsolve import (
     enumerate_roots,
 )
 from .registry import (
+    GeneralFamily,
     GeneralSolutionDef,
     SharedProfile,
+    ShockFamily,
     ShockSolutionDef,
-    build_general_family,
-    build_shock_family,
 )
 from .superpose import verify_theorem
 
 __all__ = [
-    "BranchPolicy", "Expr", "FieldSample", "GeneralSolutionDef",
-    "ImplicitRelation", "ResidualReport", "RootReport", "SharedProfile",
-    "ShockSolutionDef", "SmoothFn", "build_general_family",
-    "build_shock_family", "certify_sample", "compat_residuals",
+    "BranchPolicy", "Expr", "FieldSample", "GeneralFamily",
+    "GeneralSolutionDef", "ImplicitRelation", "ResidualReport", "RootReport",
+    "SharedProfile", "ShockFamily", "ShockSolutionDef", "SmoothFn",
+    "certify_sample", "compat_residuals",
     "differentiate", "enumerate_roots", "evaluate", "general_derivatives",
     "ghe_residual", "n_term_balance", "pairwise_balance",
     "pairwise_balances", "parse", "reduced_balance", "shock_derivatives",

@@ -31,8 +31,9 @@ class FieldSample:
 
     Every field is an array with one lane per point and point is the
     (N, 4) cloud.  A seed's sample also keeps the partials its fields came
-    from: q_p and r_p of the family's q and r, and the relation's Phi_t; a
-    superposed sample has none.
+    from: q_p and r_p of the family's q and r, and the relation's Phi_t
+    (d12Q, d12R and d2T on a general seed, beta'F', delta'F' and alpha'F'
+    on a shock seed); a superposed sample has none.
     """
 
     p: np.ndarray
@@ -200,8 +201,9 @@ def reduced_balance(si: FieldSample, sj: FieldSample,
 
     a [r_p,j - r_p,i] [Phi_t,i q_p,j - Phi_t,j q_p,i]
       - b [Phi_t,j - Phi_t,i] [q_p,i r_p,j - q_p,j r_p,i]
-    with each partial read from its seed's sample.  On the general family
-    q_p = d12Q, r_p = d12R and Phi_t = d2T, at (p_i, y/z/t).
+    with each partial read from its seed's sample: d12Q, d12R and d2T at
+    (p_i, y/z/t) on a general seed, beta'F', delta'F' and alpha'F' on a
+    shock seed, where both second factors cancel to rounding.
     """
     a, b = shared.a, shared.b
     A = sj.r_p - si.r_p

@@ -555,10 +555,9 @@ def cmd_sample(scenario, family, points, tol, args) -> tuple[int, dict]:
 
 
 def cmd_balance(scenario, family, points, tol, args) -> tuple[int, dict]:
-    reduced = family.kind == "general"
     parts, counts = reduce_chunks(
         family, points, scenario.policy,
-        lambda cloud: balance_checks(cloud.samples, family.shared, reduced))
+        lambda cloud: balance_checks(cloud.samples, family.shared))
     result = {name: summarize(values) for name, values in parts.items()}
     n_admissible = result["admissible"] = counts[OK]
 
@@ -570,11 +569,9 @@ def cmd_balance(scenario, family, points, tol, args) -> tuple[int, dict]:
             st = result[name]
             if st["count"] and _above(st["max"], tol["residual"]):
                 failures.append(f"{name} balance residual above tolerance")
-    else:
-        checked = result["reduced"] if result["reduced"]["count"] \
-            else result["pairwise"]
-        if checked["count"] == 0 or not checked["median"] > tol["violation"]:
-            failures.append("expected balance violation not observed")
+    elif not (result["reduced"]["count"]    # one seed has no pair
+              and result["reduced"]["median"] > tol["violation"]):
+        failures.append("expected balance violation not observed")
 
     print(f"scenario: {scenario.name} (expect {scenario.expect})")
     print(f"admissible points: {n_admissible}/{len(points)}")
@@ -597,6 +594,11 @@ def cmd_fdcheck(scenario, family, points, tol, args) -> tuple[int, dict]:
     # a nan deviation is kept, whichever slice it is in
     max_dev = float(np.max([cert.max_deviation for cert in certs],
                            initial=0.0))
+    # seed i's largest deviation per partial over its reports, one a slice
+    deviations = [{name: float(np.max([c.deviations[name] for c in
+                                       certs[i::family.size]], initial=0.0))
+                   for name in calculus.FieldSample.PARTIAL_NAMES}
+                  for i in range(family.size)]
 
     failures = []
     if n_ok == 0:
@@ -610,7 +612,8 @@ def cmd_fdcheck(scenario, family, points, tol, args) -> tuple[int, dict]:
     print(f"max deviation: {_fmt(max_dev)} (tolerance {tol['fd']:.1e})")
     return _verdict(failures, {"result": {
         "certified": n_ok, "near_fold": n_near_fold, "holes": n_hole,
-        "max_deviation": max_dev, "tolerance": tol["fd"]}})
+        "max_deviation": max_dev, "deviations": deviations,
+        "tolerance": tol["fd"]}})
 
 
 _COMMANDS = {"verify": cmd_verify, "sample": cmd_sample,

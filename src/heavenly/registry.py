@@ -1,4 +1,4 @@
-"""Solution-family definitions: shared profiles, seed definitions, builders.
+"""Solution-family definitions: shared profiles, seeds, family classes.
 
 Variable conventions are fixed: the field variable is "p", the spacetime
 coordinates are (x, y, z, t).  Univariate profiles are alpha(t), beta(y),
@@ -206,12 +206,3 @@ class GeneralFamily(_Family):
 
 # The family class, and through its seed_type the seed class, of each kind
 FAMILIES = {cls.kind: cls for cls in (ShockFamily, GeneralFamily)}
-
-
-def build_shock_family(defs, shared: SharedProfile) -> ShockFamily:
-    return ShockFamily(defs, shared)
-
-
-def build_general_family(defs, shared: SharedProfile) -> GeneralFamily:
-    return GeneralFamily(defs, shared)
-

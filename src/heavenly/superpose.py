@@ -35,9 +35,10 @@ from .implicitsolve import (
 
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
-# Cloud rows solved at a time: 16 scan blocks of 256 rows, and the 4 096
-# lanes of one fdoracle solve.  Every per-point result is computed row by
-# row, so no result depends on it.
+# Cloud rows solved at a time: one scan block of 4 096 rows (`rows` in
+# implicitsolve._scan), and 16 fdoracle blocks of 256 samples, 4 096
+# stencil lanes each.  Every per-point result is computed row by row, so
+# no result depends on it.
 CLOUD_CHUNK = SCAN_BUDGET // 16
 
 
@@ -209,17 +210,18 @@ def theorem_checks(samples, shared, coeffs):
     }
 
 
-def balance_checks(samples, shared, reduced: bool):
+def balance_checks(samples, shared):
     """Each balance residual of one solved slice, normalised, as a list of
     lane arrays: one per seed pair, the n-term sum, and the reduced
-    condition per pair when `reduced`, else none."""
+    condition per pair, read from each seed's q_p, r_p and Phi_t (on shock
+    seeds beta'F', delta'F' and alpha'F')."""
     cross = pairwise_balances(samples, shared)
     return {
         "pairwise": [rep.normalized for rep in cross.values()],
         "n_term": [n_term_balance(cross, len(samples[0].p)).normalized],
         "reduced": [calculus.reduced_balance(samples[i], samples[j],
                                              shared).normalized
-                    for i, j in cross] if reduced else [],
+                    for i, j in cross],
     }
 
 

@@ -9,8 +9,8 @@ from heavenly.exprdsl import Expr, ExprError, SmoothFn
 from heavenly.registry import (
     GeneralSolutionDef,
     SharedProfile,
+    ShockFamily,
     ShockSolutionDef,
-    build_shock_family,
 )
 
 # pools of smooth univariate profiles used by the randomized scenarios
@@ -91,7 +91,7 @@ def random_shock_family(rng, n_seeds):
             G=sf(G, ("p",)),
             m=sf(str(rng.choice(Y_POOL)), ("y",)),
             n=sf(str(rng.choice(Z_POOL)), ("z",))))
-    return build_shock_family(defs, shared)
+    return ShockFamily(defs, shared)
 
 
 def halton_cloud(count, seed):

@@ -25,7 +25,7 @@ from heavenly.calculus import (
 from heavenly.cliapp import load_scenario, main
 from heavenly.fdoracle import OFFSETS, _richardson, certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
-from heavenly.registry import build_general_family, build_shock_family
+from heavenly.registry import GeneralFamily, ShockFamily
 from heavenly.superpose import solve_point, verify_theorem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -102,7 +102,7 @@ def test_criterion_3_balance(bank):
             d, m=type(d.m).parse("0", ("y",)), n=type(d.n).parse("0", ("z",)))
             for d in fam.defs]
         gdefs = [shock_def_as_general(d, fam.shared) for d in stripped]
-        embedded = build_general_family(gdefs, fam.shared)
+        embedded = GeneralFamily(gdefs, fam.shared)
         cloud, _ = solve_point(fam, pts[:10], BranchPolicy())
         samples = cloud.samples
         general, _ = solve_point(embedded, pts[:10], BranchPolicy())
@@ -183,7 +183,7 @@ def test_criterion_6_derivative_certification(bank):
 
 def test_criterion_7_root_oracle_and_reproducibility(tmp_path, monkeypatch):
     # closed-form oracle: F = p^2/2, G = p gives p = -x/(S + 1)
-    fam = build_shock_family([quadratic_shock_def()], simple_shared())
+    fam = ShockFamily([quadratic_shock_def()], simple_shared())
     rel = fam.relation(0)
     rng = np.random.default_rng(5)
     oracle_ok = True

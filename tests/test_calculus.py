@@ -33,10 +33,10 @@ from heavenly.implicitsolve import (
     shock_relation,
 )
 from heavenly.registry import (
+    GeneralFamily,
     GeneralSolutionDef,
+    ShockFamily,
     ShockSolutionDef,
-    build_general_family,
-    build_shock_family,
 )
 from heavenly.superpose import solve_point, superpose
 
@@ -62,7 +62,7 @@ class TestShockDerivatives:
         sdef = ShockSolutionDef(F=sf("p^2/2", ("p",)), G=sf("p", ("p",)),
                                 m=sf("sin(y)", ("y",)), n=sf("0", ("z",)))
         point = (0.5, 0.8, 1.1, 0.9)
-        rel = build_shock_family([sdef], shared).relation(0)
+        rel = ShockFamily([sdef], shared).relation(0)
         roots = enumerate_roots(rel, point)
         s = shock_derivatives(rel, sdef, shared, point, roots[0].root)
         assert s.p_y == 0.0
@@ -73,7 +73,7 @@ class TestShockDerivatives:
         sdef = ShockSolutionDef(F=sf("p", ("p",)), G=sf("p^3/3 + p", ("p",)),
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
         point = (0.2, 1.0, 1.0, 1.0)
-        rel = build_shock_family([sdef], shared).relation(0)
+        rel = ShockFamily([sdef], shared).relation(0)
         root = enumerate_roots(rel, point)[0].root
         s = shock_derivatives(rel, sdef, shared, point, root)
         # F'' = 0 so D = G'(p) = p^2 + 1
@@ -98,7 +98,7 @@ class TestShockDerivatives:
         sdef = ShockSolutionDef(F=sf("p^2/2 + p^4/4", ("p",)),
                                 G=sf("p", ("p",)),
                                 m=sf("sin(y)", ("y",)), n=sf("z", ("z",)))
-        fam = build_shock_family([sdef], shared)
+        fam = ShockFamily([sdef], shared)
         for point in halton_cloud(50, seed=1):
             root = enumerate_roots(fam.relation(0), point)[0]
             s = shock_derivatives(fam.relation(0), sdef, shared, point,
@@ -129,7 +129,7 @@ class TestGeneralDerivatives:
         g = GeneralSolutionDef(Q=sf("p^2*y/2", ("p", "y")),
                                R=sf("p^2*z/2", ("p", "z")),
                                T=sf("p^3/3", ("p", "t")))
-        fam = build_general_family([g], simple_shared())
+        fam = GeneralFamily([g], simple_shared())
         point = (0.4, 1.0, 1.2, 0.7)
         root = enumerate_roots(fam.relation(0), point)[0].root
         s = general_derivatives(fam.relation(0), g, point, root)
@@ -176,8 +176,7 @@ class TestResiduals:
     def _samples(self, count=40):
         """Seed samples over the admissible points of a Halton cloud."""
         shared = simple_shared()
-        fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
-                                 shared)
+        fam = ShockFamily([quadratic_shock_def(), second_shock_def()], shared)
         cloud, _ = solve_point(fam, halton_cloud(count, seed=4),
                                BranchPolicy())
         assert len(cloud.admissible)
@@ -192,7 +191,7 @@ class TestResiduals:
 
     def test_general_samples_solve_equation(self):
         shared = simple_shared()
-        fam = build_general_family(list(unbalanced_general_pair()), shared)
+        fam = GeneralFamily(list(unbalanced_general_pair()), shared)
         cloud, _ = solve_point(fam, negative_x_cloud(40, seed=5),
                                BranchPolicy())
         for s in cloud.samples:
@@ -245,8 +244,7 @@ class TestResiduals:
 class TestBalances:
     def test_shock_pairs_balance(self):
         shared = simple_shared()
-        fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
-                                 shared)
+        fam = ShockFamily([quadratic_shock_def(), second_shock_def()], shared)
         cloud, failure = solve_point(fam, halton_cloud(40, seed=6),
                                      BranchPolicy())
         assert failure is None
@@ -256,7 +254,7 @@ class TestBalances:
 
     def test_unbalanced_general_pair_violates(self):
         shared = simple_shared()
-        fam = build_general_family(list(unbalanced_general_pair()), shared)
+        fam = GeneralFamily(list(unbalanced_general_pair()), shared)
         cloud, _ = solve_point(fam, negative_x_cloud(60, seed=7),
                                BranchPolicy())
         samples = cloud.samples
@@ -273,8 +271,7 @@ class TestBalances:
 
     def test_n_term_matches_pairwise_for_two(self):
         shared = simple_shared()
-        fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
-                                 shared)
+        fam = ShockFamily([quadratic_shock_def(), second_shock_def()], shared)
         cloud, failure = solve_point(fam, halton_cloud(20, seed=8),
                                      BranchPolicy())
         assert failure is None
@@ -296,7 +293,7 @@ class TestBalances:
         third = ShockSolutionDef(F=sf("p^2/2 + p^4/4", ("p",)),
                                  G=sf("2*p", ("p",)),
                                  m=sf("y", ("y",)), n=sf("cos(z)", ("z",)))
-        fam = build_shock_family(
+        fam = ShockFamily(
             [quadratic_shock_def(), second_shock_def(), third], shared)
         cloud, failure = solve_point(fam, halton_cloud(30, seed=9),
                                      BranchPolicy())
@@ -324,7 +321,7 @@ class TestReducedBalance:
                                        n=sf("z^2/2", ("z",)))
         sdefs = [quadratic_shock_def(), poly_second]
         gdefs = [shock_def_as_general(d, shared) for d in sdefs]
-        fam = build_general_family(gdefs, shared)
+        fam = GeneralFamily(gdefs, shared)
         cloud, failure = solve_point(fam, halton_cloud(30, seed=10),
                                      BranchPolicy())
         assert failure is None
@@ -335,7 +332,7 @@ class TestReducedBalance:
     def test_unbalanced_pair_violates(self):
         shared = simple_shared()
         g1, g2 = unbalanced_general_pair()
-        fam = build_general_family([g1, g2], shared)
+        fam = GeneralFamily([g1, g2], shared)
         cloud, _ = solve_point(fam, negative_x_cloud(60, seed=11),
                                BranchPolicy())
         samples = cloud.samples

@@ -22,6 +22,8 @@ from heavenly.cliapp import (
     run,
     scrambled_halton,
 )
+from heavenly.fdoracle import certify_sample
+from heavenly.superpose import solve_point
 from test_golden import CASES
 
 GOLDEN = {case["name"]: case for case in CASES}
@@ -661,3 +663,43 @@ def test_infinite_root_derivative_is_a_hole(tmp_path, monkeypatch):
         assert main(["fdcheck", path]) == 0
         result = json.loads(Path("case.report.json").read_text())["result"]
         assert (result["certified"], result["holes"]) == (1, 1)
+
+
+@pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "trivial_overlap"])
+def test_balance_checks_the_reduced_condition_on_shock_seeds(name, tmp_path,
+                                                             capsys):
+    # on a shock seed (q_p, r_p, Phi_t) = F'(p) (beta', delta', alpha'), so
+    # both factors of each pair's reduced term cancel to rounding
+    report = tmp_path / "report.json"
+    assert main(["balance", scenario_path(name), "--report",
+                 str(report)]) == 0
+    result = json.loads(report.read_text())["result"]
+    assert result["reduced"]["count"] == result["pairwise"]["count"] > 0
+    assert result["reduced"]["max"] <= 1e-15
+
+
+def test_fdcheck_reports_each_seeds_deviations(tmp_path, capsys):
+    # 4 100 points are two slices; each seed's entry folds both of them
+    sc = load_scenario(scenario_path("shock_n3"))
+    report = tmp_path / "report.json"
+    assert main(["fdcheck", scenario_path("shock_n3"), "--points", "4100",
+                 "--report", str(report)]) == 0
+    result = json.loads(report.read_text())["result"]
+    family = sc.build_family()
+    cloud, _ = solve_point(family, sc.points(count=4100), sc.policy)
+    assert len(result["deviations"]) == family.size
+    for i, devs in enumerate(result["deviations"]):
+        assert sorted(devs) == sorted(calculus.FieldSample.PARTIAL_NAMES)
+        assert devs == certify_sample(cloud.samples[i], family, i).deviations
+    assert max(max(devs.values()) for devs in result["deviations"]) == \
+        result["max_deviation"]
+
+
+def test_balance_violate_with_one_seed_observes_nothing(tmp_path, capsys):
+    # one seed has no pair, so no reduced term to read a violation from
+    path = write_scenario(tmp_path, dict(BASE, expect="violate"))
+    report = tmp_path / "report.json"
+    assert main(["balance", path, "--report", str(report)]) == 1
+    payload = json.loads(report.read_text())
+    assert payload["result"]["reduced"]["count"] == 0
+    assert payload["failures"] == ["expected balance violation not observed"]

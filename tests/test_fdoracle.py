@@ -18,7 +18,7 @@ from heavenly.cliapp import load_scenario
 from heavenly.fdoracle import certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots, \
     solve_on_sheet
-from heavenly.registry import ShockSolutionDef, build_shock_family
+from heavenly.registry import ShockFamily, ShockSolutionDef
 from heavenly.superpose import solve_point
 
 
@@ -46,7 +46,7 @@ class TestFdPartial:
     def test_continued_branch_matches_formula(self):
         # F = p^2/2, G = p: p = -x/(S+1), so dp/dx = -1/(S+1) = -1/D;
         # each stencil point is solved on the sheet of the root
-        fam = build_shock_family([quadratic_shock_def()], simple_shared())
+        fam = ShockFamily([quadratic_shock_def()], simple_shared())
         rel = fam.relation(0)
         point = (0.7, 1.1, 0.9, 1.3)
         root = enumerate_roots(rel, point)[0]
@@ -67,7 +67,7 @@ class TestFdPartial:
 
 class TestCertifySample:
     def test_shock_samples_certify(self):
-        fam = build_shock_family([quadratic_shock_def()], simple_shared())
+        fam = ShockFamily([quadratic_shock_def()], simple_shared())
         worst = 0.0
         for point in halton_cloud(25, seed=21):
             cloud, _ = solve_point(fam, point, BranchPolicy())
@@ -83,7 +83,7 @@ class TestCertifySample:
         shared = simple_shared()
         shared = type(shared)(alpha=sf("1", ("t",)), beta=sf("0", ("y",)),
                               delta=sf("0", ("z",)), a=1.0, b=1.0)
-        fam = build_shock_family([sdef], shared)
+        fam = ShockFamily([sdef], shared)
         rel = fam.relation(0)
         point = (0.5, 1.0, 1.0, 1.0)
         root = enumerate_roots(rel, point)[0]
@@ -97,7 +97,7 @@ class TestCertifySample:
 
 def shock_cloud(n, seed=21):
     """One-seed shock family and its solved cloud sample of n points."""
-    fam = build_shock_family([quadratic_shock_def()], simple_shared())
+    fam = ShockFamily([quadratic_shock_def()], simple_shared())
     cloud, failure = solve_point(fam, halton_cloud(n, seed=seed),
                                  BranchPolicy())
     assert failure is None

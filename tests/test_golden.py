@@ -20,7 +20,7 @@ import pytest
 from _families import random_shock_family, sf, simple_shared
 from heavenly.cliapp import load_scenario, main
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
-from heavenly.registry import GeneralSolutionDef, build_general_family
+from heavenly.registry import GeneralFamily, GeneralSolutionDef
 from heavenly.superpose import STATUS, solve_point, verify_theorem
 from test_acceptance import BANK_SEED, SEED_COUNTS
 
@@ -56,7 +56,7 @@ def build(case):
         return sc.build_family(), sc.coefficients, policy
     cubic = GeneralSolutionDef(Q=sf("0", ("p", "y")), R=sf("0", ("p", "z")),
                                T=sf("p^3 - p", ("p", "t")))
-    return build_general_family([cubic], simple_shared()), [1.0], policy
+    return GeneralFamily([cubic], simple_shared()), [1.0], policy
 
 
 CASES = GOLDEN["cases"]

@@ -7,11 +7,11 @@ from heavenly.exprdsl import ExprError, evaluate
 from heavenly.implicitsolve import enumerate_roots
 from heavenly.registry import (
     FamilyError,
+    GeneralFamily,
     GeneralSolutionDef,
     SharedProfile,
+    ShockFamily,
     ShockSolutionDef,
-    build_general_family,
-    build_shock_family,
 )
 from heavenly.superpose import verify_theorem
 
@@ -33,16 +33,16 @@ class TestSharedProfile:
 
 class TestBuildShockFamily:
     def test_single_seed(self):
-        fam = build_shock_family([quadratic_shock_def()], simple_shared())
+        fam = ShockFamily([quadratic_shock_def()], simple_shared())
         assert fam.size == 1
 
     def test_empty_rejected(self):
         with pytest.raises(FamilyError, match="empty family"):
-            build_shock_family([], simple_shared())
+            ShockFamily([], simple_shared())
 
     def test_two_seeds(self):
-        fam = build_shock_family([quadratic_shock_def(), second_shock_def()],
-                                 simple_shared())
+        fam = ShockFamily([quadratic_shock_def(), second_shock_def()],
+                          simple_shared())
         assert fam.size == 2
 
     def test_wrong_variable_rejected(self):
@@ -57,7 +57,7 @@ class TestBuildShockFamily:
                                G=sf("p", ("p",)),
                                m=sf("0", ("y",)), n=sf("0", ("z",)))
         with pytest.raises(FamilyError, match="domain failure"):
-            build_shock_family([bad], simple_shared())
+            ShockFamily([bad], simple_shared())
 
 
 class TestBuildGeneralFamily:
@@ -65,7 +65,7 @@ class TestBuildGeneralFamily:
         g = GeneralSolutionDef(Q=sf("p^2*y/2", ("p", "y")),
                                R=sf("p^2*z/2", ("p", "z")),
                                T=sf("p", ("p", "t")))
-        fam = build_general_family([g], simple_shared())
+        fam = GeneralFamily([g], simple_shared())
         assert fam.size == 1
 
     def test_variable_convention(self):
@@ -78,7 +78,7 @@ class TestBuildGeneralFamily:
         g = GeneralSolutionDef(Q=sf("p^2*y/2", ("p", "y")),
                                R=sf("p^2*z/2", ("p", "z")),
                                T=sf("t", ("p", "t")))
-        fam = build_general_family([g], simple_shared())
+        fam = GeneralFamily([g], simple_shared())
         assert fam.size == 1
 
     def test_unread_T_partial_is_not_probed(self):
@@ -93,7 +93,7 @@ class TestBuildGeneralFamily:
                      Q=sf("y*p^2", ("p", "y")), R=sf("z*p^2", ("p", "z")),
                      T=sf("((p+0.73)*(p-0.11)*(p-0.97))^1.5*t + 2*t*p",
                           ("p", "t")))]
-        fam = build_general_family(seeds, simple_shared())
+        fam = GeneralFamily(seeds, simple_shared())
         rep = verify_theorem(fam, [2.0, -1.0], halton_cloud(100, seed=3))
         assert rep.n_admissible > 0
         assert rep.checks["seed_ghe"]["max"] <= 1e-12
@@ -128,8 +128,8 @@ class TestShockGeneralEmbedding:
                                 m=sf("y^2/2 + y", ("y",)),
                                 n=sf("z^3/3", ("z",)))
         gdef = shock_def_as_general(sdef, shared)
-        shock_fam = build_shock_family([sdef], shared)
-        general_fam = build_general_family([gdef], shared)
+        shock_fam = ShockFamily([sdef], shared)
+        general_fam = GeneralFamily([gdef], shared)
         points = [(0.3, 1.1, 0.9, 0.7), (-0.5, 0.6, 1.4, 1.2),
                   (0.9, 1.3, 0.8, 0.5)]
         for point in points:

@@ -12,7 +12,7 @@ from _families import (
 )
 from heavenly.calculus import FieldSample, compat_residuals, ghe_residual
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
-from heavenly.registry import build_general_family, build_shock_family
+from heavenly.registry import GeneralFamily, ShockFamily
 from heavenly.superpose import (
     SuperposeError,
     solve_point,
@@ -22,8 +22,8 @@ from heavenly.superpose import (
 
 
 def two_seed_family():
-    return build_shock_family([quadratic_shock_def(), second_shock_def()],
-                              simple_shared())
+    return ShockFamily([quadratic_shock_def(), second_shock_def()],
+                       simple_shared())
 
 
 class TestSuperpose:
@@ -101,8 +101,7 @@ class TestVerifyTheorem:
         assert rep.checks["superposed_ghe"]["max"] <= 1e-9
 
     def test_negative_control(self):
-        fam = build_general_family(list(unbalanced_general_pair()),
-                                   simple_shared())
+        fam = GeneralFamily(list(unbalanced_general_pair()), simple_shared())
         pts = [(-abs(x) - 0.2, y, z, t)
                for (x, y, z, t) in halton_cloud(200, seed=14)]
         rep = verify_theorem(fam, [1.0, 1.0], pts)
