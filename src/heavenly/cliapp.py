@@ -591,14 +591,14 @@ def cmd_fdcheck(scenario, family, points, tol, args) -> tuple[int, dict]:
     certs = joined["certs"]
     n_ok = sum(cert.certified for cert in certs)
     n_hole += sum(cert.holes for cert in certs)
-    # a nan deviation is kept, whichever slice it is in
-    max_dev = float(np.max([cert.max_deviation for cert in certs],
-                           initial=0.0))
-    # seed i's largest deviation per partial over its reports, one a slice
+    # seed i's largest deviation per partial over its reports, one a slice;
+    # np.max keeps a nan, whichever slice, seed and partial it is in
     deviations = [{name: float(np.max([c.deviations[name] for c in
                                        certs[i::family.size]], initial=0.0))
                    for name in calculus.FieldSample.PARTIAL_NAMES}
                   for i in range(family.size)]
+    max_dev = float(np.max([v for seed in deviations for v in seed.values()],
+                           initial=0.0))
 
     failures = []
     if n_ok == 0:
@@ -663,6 +663,10 @@ def main(argv=None) -> int:
         report = Path(args.report
                       or f"{Path(args.scenario).stem}.report.json")
         _check_writable(report)
+        if (args.command == "sample" and args.out
+                and Path(args.out).resolve() == report.resolve()):
+            raise ScenarioError(f"--out and the report are one file: "
+                                f"{args.out}")
         scenario = load_scenario(args.scenario)
         family = scenario.build_family()
         count = args.points

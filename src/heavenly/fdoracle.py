@@ -36,14 +36,13 @@ def _richardson(f1, fm1, f2, fm2, h):
 class CertReport:
     """Certification of every lane of one seed's sample.
 
-    certified and holes count the lanes; max_deviation and deviations
-    (partial name -> relative deviation) are maxima over the certified
-    lanes, 0.0 when none certified.
+    certified and holes count the lanes; deviations (partial name ->
+    relative deviation) are maxima over the certified lanes, 0.0 when none
+    certified.
     """
 
     certified: int
     holes: int
-    max_deviation: float
     deviations: dict
 
     @property
@@ -90,6 +89,5 @@ def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
     devs = np.concatenate([np.empty((len(_PARTIALS), 0)), *devs], axis=1)
     worst = devs.max(axis=1, initial=0.0)
     return CertReport(certified=devs.shape[1], holes=n - devs.shape[1],
-                      max_deviation=float(worst.max()),
                       deviations={name: float(v) for (name, _, _), v in
                                   zip(_PARTIALS, worst)})

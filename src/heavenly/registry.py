@@ -86,50 +86,45 @@ class GeneralSolutionDef(_Expressions):
     VARIABLES = {"Q": ("p", "y"), "R": ("p", "z"), "T": ("p", "t")}
 
 
-_SHOCK_PRECOMPUTE = {
-    "F": [(0,), (1,), (2,)],
-    "G": [(0,), (1,)],
-    "m": [(0,), (1,)],
-    "n": [(0,), (1,)],
-}
-_SHARED_PRECOMPUTE = {
-    "alpha": [(0,), (1,)],
-    "beta": [(0,), (1,), (2,)],
-    "delta": [(0,), (1,), (2,)],
-}
-_GENERAL_PRECOMPUTE = {
-    "Q": [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)],
-    "R": [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)],
-    "T": [(0, 0), (1, 0), (0, 1)],
-}
-
+# The build check evaluates each seed on the diagonal x = y = z = t = p at
+# these points, so that an expression that cannot be evaluated refuses the
+# family before any scan runs.
 _PROBE_POINTS = np.array([-0.73, 0.11, 0.97])
+_PROBE_CLOUD = np.repeat(_PROBE_POINTS[:, None], 4, axis=1)
 
 
-def _precompute(obj, plan):
-    for attr, orders_list in plan.items():
-        fn: SmoothFn = getattr(obj, attr)
-        for orders in orders_list:
-            _probe(fn.compiled(orders), fn.arity, attr, orders)
-
-
-def _probe(compiled, arity, attr, orders):
-    # Differentiation/evaluation failures should surface at build time,
-    # not mid-scan; a few probe points catch e.g. log(p) derivatives that
-    # blow up at desk-scale arguments.
-    with np.errstate(all="ignore"):
-        vals = compiled(*([_PROBE_POINTS] * arity))
+def _require_finite(vals, what):
     if not np.isfinite(vals).any():
-        raise FamilyError(
-            f"differentiation domain failure: partial {orders} of "
-            f"'{attr}' not evaluable at any probe point")
+        raise FamilyError(f"differentiation domain failure: {what} not "
+                          "evaluable at any probe point")
+
+
+def _probe(family, i):
+    """Refuse seed i unless every partial its samples read, and its
+    relation's Phi and gradient, are finite at one probe point at least.
+
+    One sample compiles the partials; the fields derived from them, such as
+    p_x = -1/D, are not tested, for D may vanish at every probe point.  The
+    partials come first because they name the user's function.
+    """
+    rel = family.relation(i)
+    with np.errstate(all="ignore"):
+        family.sample(i, _PROBE_CLOUD, _PROBE_POINTS)
+        for obj in (family.defs[i], family.shared):
+            for attr in obj.VARIABLES:
+                fn = getattr(obj, attr)
+                for orders, compiled in fn._compiled.items():
+                    _require_finite(compiled(*[_PROBE_POINTS] * fn.arity),
+                                    f"partial {orders} of '{attr}'")
+        at = [_PROBE_POINTS] * 5
+        for name, f in zip(("Phi", "dPhi/dp", "dPhi/dy", "dPhi/dz",
+                            "dPhi/dt"), (rel.phi, rel.dphi, *rel.grad)):
+            _require_finite(f(*at), f"{name} of seed {i}")
 
 
 class _Family:
-    """A built family of seeds over one shared profile; immutable after
-    construction, but for its cache of relations."""
-
-    shared_plan = {}
+    """A built family of seeds over one shared profile, with each seed's
+    relation; immutable after construction."""
 
     def __init__(self, defs, shared: SharedProfile):
         if not defs:
@@ -140,17 +135,15 @@ class _Family:
             if not isinstance(d, self.seed_type):
                 raise FamilyError(f"{self.kind} family needs "
                                   f"{self.seed_type.__name__} seeds")
-            _precompute(d, self.plan)
-        _precompute(shared, self.shared_plan)
-        self._relations = {}
+        self._relations = tuple(self._relation(d) for d in self.defs)
+        for i in range(self.size):
+            _probe(self, i)
 
     @property
     def size(self) -> int:
         return len(self.defs)
 
     def relation(self, i: int):
-        if i not in self._relations:
-            self._relations[i] = self._relation(self.defs[i])
         return self._relations[i]
 
 
@@ -159,8 +152,6 @@ class ShockFamily(_Family):
 
     kind = "shock"
     seed_type = ShockSolutionDef
-    plan = _SHOCK_PRECOMPUTE
-    shared_plan = _SHARED_PRECOMPUTE
 
     def _relation(self, d):
         return implicitsolve.shock_relation(d, self.shared)
@@ -187,7 +178,6 @@ class GeneralFamily(_Family):
 
     kind = "general"
     seed_type = GeneralSolutionDef
-    plan = _GENERAL_PRECOMPUTE
 
     def _relation(self, d):
         return implicitsolve.general_relation(d)

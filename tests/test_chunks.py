@@ -144,7 +144,8 @@ def test_a_nan_deviation_in_a_middle_slice_fails_fdcheck(tmp_path,
         calls.append(index)
         cert = certify(sample, family, index)
         if len(calls) == family.size + 1:
-            cert = dataclasses.replace(cert, max_deviation=float("nan"))
+            cert = dataclasses.replace(
+                cert, deviations=dict(cert.deviations, p_x=float("nan")))
         return cert
 
     monkeypatch.setattr(fdoracle, "certify_sample", nan_in_slice_two)
@@ -156,8 +157,9 @@ def test_a_nan_deviation_in_a_middle_slice_fails_fdcheck(tmp_path,
     out = capsys.readouterr().out
     assert "max deviation: nan" in out
     assert "finite-difference deviation above tolerance" in out
-    assert math.isnan(json.loads(report.read_text())["result"]
-                      ["max_deviation"])
+    result = json.loads(report.read_text())["result"]
+    assert math.isnan(result["max_deviation"])
+    assert math.isnan(result["deviations"][0]["p_x"])
 
 
 @pytest.mark.parametrize("command", ["verify", "balance", "sample"])

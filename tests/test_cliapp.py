@@ -201,6 +201,21 @@ class TestCommands:
         assert err.startswith(f"configuration error: cannot write {out}")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("paths", [
+        ["--out", "same.json", "--report", "./same.json"],
+        ["--out", "shock_n2.report.json"],
+    ])
+    def test_sample_csv_and_report_must_differ(self, paths, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", scenario_path("shock_n2"), "--points", "5",
+                     *paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("configuration error: --out and the report are one "
+                       f"file: {paths[1]}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_is_only_the_sample_csv(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["verify", scenario_path("shock_n2"), "--points", "20",

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from _families import halton_cloud, polynomial_antiderivative, \
     quadratic_shock_def, second_shock_def, sf, shock_def_as_general, \
     simple_shared
+from heavenly import cliapp
 from heavenly.exprdsl import ExprError, evaluate
 from heavenly.implicitsolve import enumerate_roots
 from heavenly.registry import (
@@ -97,6 +101,81 @@ class TestBuildGeneralFamily:
         rep = verify_theorem(fam, [2.0, -1.0], halton_cloud(100, seed=3))
         assert rep.n_admissible > 0
         assert rep.checks["seed_ghe"]["max"] <= 1e-12
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("shock_n2", "shock_n3", "general_balanced", "general_unbalanced",
+           "trivial_overlap")
+# the partials a sample reads, which the build check compiles and probes
+SAMPLE_READS = {
+    "shock": {"F": {(0,), (1,)}, "G": set(), "m": {(0,), (1,)},
+              "n": {(0,), (1,)}, "alpha": set(), "beta": {(1,), (2,)},
+              "delta": {(1,), (2,)}},
+    "general": {"Q": {(0, 1), (1, 1), (0, 2)},
+                "R": {(0, 1), (1, 1), (0, 2)}, "T": set(),
+                "alpha": set(), "beta": set(), "delta": set()},
+}
+
+
+def compiled_orders(family):
+    """Per seed, each function's compiled partials, the shared ones too."""
+    return [{attr: set(getattr(obj, attr)._compiled)
+             for obj in (d, family.shared) for attr in obj.VARIABLES}
+            for d in family.defs]
+
+
+def shock_n2_variant(tmp_path, edit):
+    raw = json.loads((SCENARIOS / "shock_n2.json").read_text())
+    edit(raw)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestBuildCheck:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_compiles_what_a_sample_reads(self, name):
+        sc = cliapp.load_scenario(SCENARIOS / f"{name}.json")
+        family = sc.build_family()
+        assert compiled_orders(family) == \
+            [SAMPLE_READS[sc.family_kind]] * family.size
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_the_commands_evaluate_nothing_unprobed(self, name, tmp_path,
+                                                    monkeypatch):
+        sc = cliapp.load_scenario(SCENARIOS / f"{name}.json")
+        family = sc.build_family()
+        built = compiled_orders(family)
+        monkeypatch.setattr(cliapp.Scenario, "build_family",
+                            lambda self: family)
+        monkeypatch.chdir(tmp_path)
+        for command in ("verify", "balance", "sample", "fdcheck"):
+            assert cliapp.main([command, str(SCENARIOS / f"{name}.json"),
+                                "--points", "40"]) == 0
+        assert compiled_orders(family) == built
+
+    def test_a_partial_read_only_through_phi_names_phi(self, tmp_path,
+                                                       capsys):
+        path = shock_n2_variant(
+            tmp_path, lambda raw: raw["seeds"][1].update(G="sqrt(p*p - p*p)"))
+        assert cliapp.main(["verify", path, "--report",
+                            str(tmp_path / "r.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("configuration error: differentiation domain failure: "
+                       "dPhi/dp of seed 1 not evaluable at any probe point\n")
+
+    def test_a_vanishing_D_at_the_probe_points_builds(self, tmp_path):
+        # D = (t + y - 2z) F'' vanishes on the diagonal x = y = z = t = p
+        # that the build check evaluates; p_x = -1/D is no probe target
+        def d_zero(raw):
+            raw["shared"].update(alpha="t", beta="y", delta="0 - 2*z")
+            for seed in raw["seeds"]:
+                seed["G"] = "0"
+
+        path = shock_n2_variant(tmp_path, d_zero)
+        assert cliapp.main(["verify", path, "--report",
+                            str(tmp_path / "r.json")]) == 0
 
 
 class TestPolynomialAntiderivative:
