@@ -42,6 +42,7 @@ REPORT_SCHEMA_VERSION = 1
 MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
 MAX_RESOLUTION = 65536      # scan grid bound: scan blocks scale with it
 HALTON_BASES = (2, 3, 5, 7)  # the first four primes, one per axis x, y, z, t
+CSV_BLOCK = 256             # sample rows turned into Python floats at once
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,        # max normalized residual, expect=satisfy
@@ -123,7 +124,9 @@ def scrambled_halton(count: int, seed: int, lows, highs) -> np.ndarray:
             scale /= base
         u[:, col] = v
     lows = np.asarray(lows, dtype=float)
-    return u * (np.asarray(highs, dtype=float) - lows) + lows
+    u *= np.asarray(highs, dtype=float) - lows     # in place: one (N, 4) array
+    u += lows
+    return u
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -526,7 +529,10 @@ def _csv_rows(family, coeffs, cloud, first: int):
     for name in ("seed_ghe", "superposed_ghe", "superposed_compat",
                  "n_term_balance"):
         columns += checks[name]
-    admissible = iter(np.column_stack(columns).tolist())
+    table = np.column_stack(columns)
+    # Python floats for CSV_BLOCK rows at a time, not for the whole slice
+    admissible = (row for start in range(0, len(table), CSV_BLOCK)
+                  for row in table[start:start + CSV_BLOCK].tolist())
     # one %-format per row; "%.17g" % v is f"{v:.17g}", nan and inf included
     ok_row = "%d,%s" + ",%.17g" * (4 + len(columns)) + "\n"
     failed_row = "%d,%s" + ",%.17g" * 4 + ",nan" * len(columns) + "\n"
@@ -538,8 +544,13 @@ def _csv_rows(family, coeffs, cloud, first: int):
             yield failed_row % (idx, STATUS[status], *point)
 
 
+def _sample_csv(scenario, args) -> Path:
+    """The CSV path of sample: --out, or <scenario name>.csv."""
+    return Path(args.out or f"{scenario.name}.csv")
+
+
 def cmd_sample(scenario, family, points, tol, args) -> tuple[int, dict]:
-    out = Path(args.out) if args.out else Path(f"{scenario.name}.csv")
+    out = _sample_csv(scenario, args)
 
     n_rows = n_ok = 0
     with out.open("w") as csv:
@@ -549,6 +560,7 @@ def cmd_sample(scenario, family, points, tol, args) -> tuple[int, dict]:
                                      n_rows))
             n_rows += len(cloud.points)
             n_ok += len(cloud.admissible)
+            cloud = None    # released before the next slice is solved
     print(f"wrote {out} ({len(points)} points, {n_ok} admissible)")
     return 0, {"csv": str(out), "points": len(points), "admissible": n_ok,
                "passed": True}
@@ -663,11 +675,12 @@ def main(argv=None) -> int:
         report = Path(args.report
                       or f"{Path(args.scenario).stem}.report.json")
         _check_writable(report)
-        if (args.command == "sample" and args.out
-                and Path(args.out).resolve() == report.resolve()):
-            raise ScenarioError(f"--out and the report are one file: "
-                                f"{args.out}")
         scenario = load_scenario(args.scenario)
+        if args.command == "sample":
+            csv = _sample_csv(scenario, args)
+            if csv.resolve() == report.resolve():
+                raise ScenarioError(f"--out and the report are one file: "
+                                    f"{csv}")
         family = scenario.build_family()
         count = args.points
         if count is None and args.command == "fdcheck":

@@ -75,16 +75,13 @@ def superpose(samples, coeffs) -> FieldSample:
     return FieldSample(point=ref, **acc)
 
 
-def summarize(values) -> dict:
-    """count, max and median over a list of scalars or lane arrays.
-
-    The values are concatenated once; the median partitions that copy.
-    """
-    v = np.concatenate([np.ravel(a) for a in values]) if values else ()
-    if not len(v):
+def summarize(values: np.ndarray) -> dict:
+    """count, max and median of a float64 array; the median partitions it
+    in place."""
+    if not values.size:
         return {"count": 0, "max": None, "median": None}
-    return {"count": int(v.size), "max": float(v.max()),
-            "median": median(v)}
+    return {"count": int(values.size), "max": float(values.max()),
+            "median": median(values)}
 
 
 @dataclass
@@ -166,9 +163,9 @@ def solve_chunks(family, points, policy: BranchPolicy):
     """solve_point over consecutive slices of CLOUD_CHUNK rows of a cloud.
 
     Yields the CloudSolution of each slice in cloud order.  A caller
-    reduces a slice to what it keeps before the next one is solved, so
-    memory is set by the slice and not by the cloud.  An empty cloud is one
-    empty slice.
+    reduces a slice to what it keeps and drops it before asking for the
+    next, so one slice is held at a time and only what the caller keeps
+    grows with the cloud.  An empty cloud is one empty slice.
     """
     pts = as_cloud(points)
     for start in range(0, max(len(pts), 1), CLOUD_CHUNK):
@@ -229,14 +226,34 @@ def reduce_chunks(family, points, policy: BranchPolicy, checks):
     """Solve a cloud slice by slice and join what each slice keeps.
 
     checks(cloud) maps names to lists for one solved slice; the lists of
-    each name are joined in cloud order.  Returns the joined dict and the
-    number of points of each status, as ints in the order of STATUS.
+    each name are joined in cloud order: lane arrays into the filled
+    prefix of one float64 buffer, sized after the first slice for the
+    whole cloud (pages are touched only as they are written), other values
+    into one list.  Each slice is released before the next is solved.
+    Returns the joined dict and the number of points of each status, as
+    ints in the order of STATUS.
     """
-    joined, counts = {}, 0
-    for cloud in solve_chunks(family, points, policy):
+    pts = as_cloud(points)
+    joined, filled, counts = {}, {}, 0
+    for cloud in solve_chunks(family, pts, policy):
         for name, values in checks(cloud).items():
-            joined.setdefault(name, []).extend(values)
+            if name not in joined:
+                if all(isinstance(v, np.ndarray) for v in values):
+                    joined[name] = np.empty(len(values) * len(pts))
+                    filled[name] = 0
+                else:
+                    joined[name] = []
+            if name not in filled:
+                joined[name].extend(values)
+                continue
+            for v in values:
+                end = filled[name] + len(v)
+                joined[name][filled[name]:end] = v
+                filled[name] = end
         counts = counts + np.bincount(cloud.status, minlength=len(STATUS))
+        cloud = values = v = None   # released before the next slice is solved
+    for name, end in filled.items():
+        joined[name] = joined[name][:end]
     return joined, counts.tolist()
 
 
@@ -245,8 +262,9 @@ def verify_theorem(family, coeffs, points,
                    threshold: float = 1e-9) -> TheoremReport:
     """Run the full verification over a point cloud, one slice at a time.
 
-    Each slice keeps only its checks' normalised residuals; count, max
-    and median do not depend on the order of the values.
+    Each slice keeps only its checks' normalised residuals, one float64
+    buffer per check; count, max and median do not depend on the order of
+    the values.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != family.size:
@@ -255,8 +273,7 @@ def verify_theorem(family, coeffs, points,
     checks, counts = reduce_chunks(
         family, points, policy,
         lambda cloud: theorem_checks(cloud.samples, family.shared, coeffs)[1])
-    n_pass = sum(int(np.count_nonzero(values <= threshold))
-                 for values in checks["superposed_ghe"])
+    n_pass = int(np.count_nonzero(checks["superposed_ghe"] <= threshold))
     n_admissible = counts[OK]
     return TheoremReport(
         n_points=sum(counts),

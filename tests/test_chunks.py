@@ -7,8 +7,9 @@ same bytes.  The slices of the golden hole and fold clouds must also add
 up to the whole-cloud solve: statuses, failed seeds, samples and the first
 failure.  Each command computes a slice's cross term of each seed pair once,
 and the residual columns of `sample` are the arrays of
-superpose.theorem_checks.  superpose.reduce_chunks joins the slices' lists
-and status counts, and `fdcheck` keeps a nan deviation of any slice.
+superpose.theorem_checks.  superpose.reduce_chunks joins the slices'
+status counts, each lane check into one float64 buffer and other values
+into one list, and `fdcheck` keeps a nan deviation of any slice.
 """
 
 import dataclasses
@@ -121,6 +122,32 @@ def test_slices_add_up_to_the_whole_cloud(name, monkeypatch):
     assert counts == [sum(np.count_nonzero(c.status == s) for c in slices)
                       for s in range(len(superpose.STATUS))]
     assert all(type(n) is int for n in counts)
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+def test_each_lane_check_is_one_buffer(chunk, monkeypatch):
+    # 1 000 points: 143 slices of 7 rows, or 4 of 256
+    monkeypatch.setattr(superpose, "CLOUD_CHUNK", chunk)
+    scenario = cliapp.load_scenario(ROOT / "scenarios" / "shock_n3.json")
+    family = scenario.build_family()
+    points = scenario.points(count=1000)
+    checks = lambda cloud: superpose.theorem_checks(
+        cloud.samples, family.shared, scenario.coefficients)[1]
+    joined, counts = superpose.reduce_chunks(family, points,
+                                             scenario.policy, checks)
+
+    expected = {}
+    for cloud in superpose.solve_chunks(family, points, scenario.policy):
+        for name, values in checks(cloud).items():
+            expected.setdefault(name, []).extend(values)
+    assert list(joined) == list(expected)
+    for name, values in joined.items():
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert values.ndim == 1 and values.flags.c_contiguous
+        assert values.tobytes() == np.concatenate(expected[name]).tobytes()
+    # seed_compat: two residuals for each of the 3 seeds at every point
+    assert counts[superpose.OK] > 0
+    assert joined["seed_compat"].size == 6 * counts[superpose.OK]
 
 
 def test_an_empty_cloud_is_one_empty_slice():

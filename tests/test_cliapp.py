@@ -204,6 +204,9 @@ class TestCommands:
     @pytest.mark.parametrize("paths", [
         ["--out", "same.json", "--report", "./same.json"],
         ["--out", "shock_n2.report.json"],
+        # the default CSV, <scenario name>.csv, known once the scenario
+        # is read
+        ["--report", "shock_n2.csv"],
     ])
     def test_sample_csv_and_report_must_differ(self, paths, tmp_path,
                                                monkeypatch, capsys):
