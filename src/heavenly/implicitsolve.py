@@ -37,9 +37,9 @@ TOL_REL = 1e-12
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
 SHEET_MAX_ITER = 60      # Newton steps of solve_on_sheet
-# Scan values alive at once, up to a small factor (see _scan): a one-cell
-# grid is evaluated SCAN_BUDGET // (4 * resolution) cloud rows at a time.
-# A constant, so results never depend on the cloud size.
+# Scan values alive at once, up to a small factor (see _scan): cells are
+# evaluated SCAN_BUDGET // (4 * nodes) at a time.  A constant, so results
+# never depend on the cloud size.
 SCAN_BUDGET = 65536
 SCAN_LEAF = 2            # grid intervals per leaf cell of the scan tree
 SCAN_ROOTS = 4           # coarse cells the scan tree starts from, a power of 2
@@ -54,15 +54,13 @@ class ImplicitRelation:
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
     (one value per bracket), dphi and grad at the chosen roots too;
     phi_vec on scan cells: a (pairs, nodes) array of the grid nodes of each
-    (point, cell) pair against the (pairs, 1) columns of its point, or, for
-    a relation without a bound, the (1, n) grid row against (k, 1) columns.
-    A result may come back as a Python float when the expression is
-    constant, so callers broadcast.
+    (point, cell) pair against the (pairs, 1) columns of its point.  A
+    result may come back as a Python float when the expression is constant,
+    so callers broadcast.
 
     expr is the Phi expression over RELATION_VARIABLES that the callables
     were compiled from (see relation_from_expr), or None (and no grad) for
-    a relation built from callables alone; the scan bounds Phi cell by cell
-    only when it has one.
+    a relation built from callables alone, which the scan cannot bound.
     """
 
     phi: callable
@@ -225,14 +223,18 @@ def general_relation(gdef) -> ImplicitRelation:
 
 
 _BOUNDED = ("add", "sub", "mul", "div", "neg")
+# the program of a relation without a bound: a p-only leaf whose cell
+# bounds are nan, so every cell is kept
+_UNBOUNDED = ("row", lambda *args: math.nan)
 
 
 def _split(e: exprdsl.Expr):
-    """The bound program of a Phi expression, or None if it has none.
+    """The bound program of a Phi expression.
 
     Leaves are the maximal subtrees in p only ("row") and free of p
     ("col"), each compiled; the nodes between them are + - * / and
-    negation.  A call or ^ between them leaves Phi unbounded.
+    negation.  A call or ^ between them leaves Phi unbounded: its program
+    is _UNBOUNDED.
     """
     names = exprdsl.free_variables(e)
     if "p" not in names:
@@ -240,11 +242,9 @@ def _split(e: exprdsl.Expr):
     if names == {"p"}:
         return ("row", exprdsl.compile_expr(e, RELATION_VARIABLES))
     if e.kind not in _BOUNDED:
-        return None
+        return _UNBOUNDED
     parts = [_split(a) for a in e.args]
-    if any(part is None for part in parts):
-        return None
-    return (e.kind, *parts)
+    return _UNBOUNDED if _UNBOUNDED in parts else (e.kind, *parts)
 
 
 def _on_cells(program, grid, roots, width):
@@ -352,32 +352,28 @@ def _kept(program, level, pairs, bits):
 
 
 def _cells(rel: ImplicitRelation, policy: BranchPolicy):
-    """Grid, first node of each coarse cell, nodes per coarse cell and bound
-    program with the cell bounds of its p-only leaves (see _on_cells).
+    """Grid, nodes per coarse cell and bound program with the cell bounds
+    of its p-only leaves (see _on_cells).
 
     The scan tree starts from SCAN_ROOTS coarse cells of SCAN_LEAF
     intervals times the least power of two that lets them cover the grid;
-    a cell may run past the grid.  Without a bound program the whole grid
-    is one cell.  Built once per relation and grid: each p-only leaf keeps
-    the two ends of every cell of every level, 16 KB at 1 024 nodes.
+    a cell may run past the grid.  A relation built from callables alone
+    takes the _UNBOUNDED program.  Built once per relation and grid: each
+    p-only leaf keeps the two ends of every cell of every level, 16 KB at
+    1 024 nodes.
     """
     key = (policy.p_lo, policy.p_hi, policy.resolution)
     cache = rel._cache
     if key not in cache:
         if "split" not in cache:
-            cache["split"] = None if rel.expr is None else _split(rel.expr)
-        program = cache["split"]
+            cache["split"] = _UNBOUNDED if rel.expr is None \
+                else _split(rel.expr)
         grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
-        last = len(grid) - 1
-        starts = np.zeros(1, dtype=np.intp)
-        cell = last
-        if program is not None:
-            cell = SCAN_LEAF
-            while cell * SCAN_ROOTS < last:
-                cell *= 2
-            starts = np.arange(0, cell * SCAN_ROOTS, cell)
-            program = _on_cells(program, grid, SCAN_ROOTS, cell + 1)
-        cache[key] = grid, starts, cell + 1, program
+        cell = SCAN_LEAF
+        while cell * SCAN_ROOTS < len(grid) - 1:
+            cell *= 2
+        cache[key] = grid, cell + 1, _on_cells(cache["split"], grid,
+                                               SCAN_ROOTS, cell + 1)
     return cache[key]
 
 
@@ -389,18 +385,17 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     in two, down to cells of SCAN_LEAF intervals, or until a split clears
     less than a quarter of the children (a bound too loose to gain from
     narrower cells).  phi_vec then runs on the grid nodes of the surviving
-    cells of a work item at once.  A relation without a bound program is
-    one cell spanning the grid.
+    cells of a work item at once.  The nan bounds of an unbounded relation
+    clear nothing, so its descent stops after the first split.
     """
-    grid, starts, width, program = _cells(rel, policy)
+    grid, width, program = _cells(rel, policy)
     last = len(grid) - 1
-    roots = len(starts)
-    depth = (width - 1).bit_length() - SCAN_LEAF.bit_length() \
-        if program is not None else 0
+    depth = (width - 1).bit_length() - SCAN_LEAF.bit_length()
     # a (row, cell) pair of a tree level is row << (shift + level) | cell
-    shift = (roots - 1).bit_length()
+    shift = (SCAN_ROOTS - 1).bit_length()
     # nodes past the grid are evaluated but never reported
-    padded = np.r_[grid, np.full(roots * (width - 1) + 1 - len(grid), np.nan)]
+    padded = np.r_[grid, np.full(SCAN_ROOTS * (width - 1) + 1 - len(grid),
+                                 np.nan)]
     # A block is one slice of the cloud (CLOUD_CHUNK rows), so a slice
     # descends the tree once.  The coarse bound of a block and a later
     # bound call keep about eight arrays of their SCAN_BUDGET // 4 and
@@ -408,7 +403,7 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     # nodes, their phi_vec values and products and phi_vec's temporaries, a
     # quarter of SCAN_BUDGET each.
     rows = SCAN_BUDGET // (4 * SCAN_ROOTS)
-    item = rows * roots     # pairs of a work item, at most
+    item = rows * SCAN_ROOTS    # pairs of a work item, at most
     # typed empty entries: a cloud whose cells are all cleared finds none
     found = {k: [np.zeros(0, dtype=float if k == "b_flo" else np.intp)]
              for k in ("b_owner", "b_col", "b_flo", "z_owner", "z_col")}
@@ -424,11 +419,9 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
             owner = pairs[c0:c0 + chunk] >> bits
             cell = pairs[c0:c0 + chunk] & ((1 << bits) - 1)
             sub = block[owner]
-            # one cell: its row broadcasts against every column
-            p = windows if len(windows) == 1 else windows[cell]
             vals = np.broadcast_to(np.asarray(rel.phi_vec(
-                p, *(sub[:, k:k + 1] for k in range(4))), dtype=float),
-                (len(owner), step + 1))
+                windows[cell], *(sub[:, k:k + 1] for k in range(4))),
+                dtype=float), (len(owner), step + 1))
             finite = np.isfinite(vals)
             change = vals[:, :-1] * vals[:, 1:] < 0.0
             if not finite.all():
@@ -450,15 +443,12 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
 
     for start in range(0, len(pts), rows):
         block = pts[start:start + rows]
-        if program is None:
-            evaluate(block, start, 0, np.arange(len(block)))
-            continue
         tree = _on_block(program, block.T)
-        # the coarse cells of every row bound as one (rows, roots) broadcast
+        # every row's coarse cells bound as one (rows, SCAN_ROOTS) broadcast
         need = _may_hold_zero(*_bound(tree, 0, np.s_[:, None],
                                       np.s_[None, :]))
-        work = [(0, np.flatnonzero(np.broadcast_to(need,
-                                                   (len(block), roots))))]
+        work = [(0, np.flatnonzero(np.broadcast_to(
+            need, (len(block), SCAN_ROOTS))))]
         while work:
             level, pairs = work.pop()
             if level < depth:

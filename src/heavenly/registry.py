@@ -58,10 +58,6 @@ class SharedProfile(_Expressions):
         if self.a == 0.0 and self.b == 0.0:
             raise FamilyError("(a, b) must not both be zero")
 
-    @property
-    def c(self) -> float:
-        return -self.a - self.b
-
 
 @dataclass(frozen=True)
 class ShockSolutionDef(_Expressions):

@@ -21,10 +21,6 @@ from heavenly.superpose import verify_theorem
 
 
 class TestSharedProfile:
-    def test_c_is_derived(self):
-        shared = simple_shared(a=2.0, b=-0.5)
-        assert shared.a + shared.b + shared.c == 0.0
-
     def test_zero_constants_rejected(self):
         with pytest.raises(FamilyError):
             simple_shared(a=0.0, b=0.0)

@@ -19,8 +19,10 @@ from heavenly.implicitsolve import (
     MAX_NEWTON_ITER,
     SCAN_BUDGET,
     SCAN_LEAF,
+    SCAN_ROOTS,
     BranchPolicy,
     ImplicitRelation,
+    _UNBOUNDED,
     _cells,
     _kept,
     _newton,
@@ -62,7 +64,8 @@ def general(Q="0", R="0", T="p"):
 
 def bounded(rel, policy=BranchPolicy()):
     with np.errstate(all="ignore"):
-        return _cells(rel, policy)[3] is not None
+        _cells(rel, policy)
+    return rel._cache["split"] is not _UNBOUNDED
 
 
 def cloud(n=300, seed=4):
@@ -132,7 +135,7 @@ class TestSameBrackets:
         # Q_p = -y/p^2 and T = t/(p - 1/3): both divisors cross 0
         rel = general(Q="y/p", T="t/(p - 1/3)")
         assert bounded(rel)
-        program = _cells(rel, BranchPolicy())[3]
+        program = _cells(rel, BranchPolicy())[2]
         assert "div" in repr(program)
         assert_same_scan(rel, cloud(300))
 
@@ -148,14 +151,12 @@ class TestSameBrackets:
 
     @pytest.mark.parametrize("Q, T", [("y^2/2 + sin(y*p)", "p"),
                                       ("0", "p^t + p")])
-    def test_mixed_call_or_power_is_one_cell(self, Q, T):
+    def test_mixed_call_or_power_is_unbounded(self, Q, T):
         rel = general(Q=Q, T=T)
-        grid, starts, width, program = _cells(rel, BranchPolicy())
-        assert program is None and starts.tolist() == [0]
-        assert width == len(grid)
+        assert not bounded(rel)
         assert_same_scan(rel, cloud(300))
 
-    def test_callables_only_is_one_cell(self):
+    def test_callables_only_is_unbounded(self):
         def phi(p, x, y, z, t):
             return x + p ** 3 - p
 
@@ -167,7 +168,8 @@ class TestSameBrackets:
     def test_resolutions(self, resolution):
         policy = BranchPolicy(p_lo=-3.0, p_hi=2.0, resolution=resolution)
         for rel in (general(Q="y*p^2/2", T="p^3 - p"),
-                    general(Q="y*p", T="tanh(p) + p")):
+                    general(Q="y*p", T="tanh(p) + p"),
+                    general(Q="y^2/2 + sin(y*p)", T="p")):
             assert_same_scan(rel, cloud(300), policy)
 
     def test_random_arithmetic(self):
@@ -250,11 +252,11 @@ class TestCellWork:
         # and the cloud is more than one block
         rel = general(T="-cos(p)")
         pts = cloud(2500)
-        _, starts, _, program = _cells(rel, BranchPolicy())
-        coarse = np.arange(len(pts) * len(starts))
+        program = _cells(rel, BranchPolicy())[2]
+        coarse = np.arange(len(pts) * SCAN_ROOTS)
         with np.errstate(all="ignore"):
             tree = _on_block(program, pts.T)
-            kept = _kept(tree, 0, coarse, (len(starts) - 1).bit_length())
+            kept = _kept(tree, 0, coarse, (SCAN_ROOTS - 1).bit_length())
         assert np.array_equal(kept, coarse)
         shapes = []
 
@@ -273,22 +275,24 @@ class TestCellWork:
 
     def test_descent_stops_where_splits_clear_nothing(self):
         # R_p = 1000*z*p - 1000*z*p: a split halves the bound's width, yet
-        # it still holds 0, so the descent stops on wide cells and evaluates
+        # it still holds 0; sin(y*p) has a nan bound, which holds 0 on every
+        # cell.  Either way the descent stops on wide cells and evaluates
         # about every node once
-        rel = general(R="500*z*p^2 - 500*z*p^2")
-        shapes = []
-
-        def counted(p, *cols):
-            shapes.append(np.broadcast(p, *cols).shape)
-            return rel.phi_vec(p, *cols)
-
         pts = cloud(300)
-        assert_same_scan(rel, pts)
-        with np.errstate(all="ignore"):
-            _scan(dataclasses.replace(rel, phi_vec=counted), pts,
-                  BranchPolicy())
-        assert min(nodes for _, nodes in shapes) > 8 * SCAN_LEAF + 1
-        assert sum(n * k for n, k in shapes) <= 1.1 * len(pts) * 1024
+        for rel in (general(R="500*z*p^2 - 500*z*p^2"),
+                    general(Q="y^2/2 + sin(y*p)")):
+            shapes = []
+
+            def counted(p, *cols):
+                shapes.append(np.broadcast(p, *cols).shape)
+                return rel.phi_vec(p, *cols)
+
+            assert_same_scan(rel, pts)
+            with np.errstate(all="ignore"):
+                _scan(dataclasses.replace(rel, phi_vec=counted), pts,
+                      BranchPolicy())
+            assert min(nodes for _, nodes in shapes) > 8 * SCAN_LEAF + 1
+            assert sum(n * k for n, k in shapes) <= 1.1 * len(pts) * 1024
 
     def test_bound_built_once_per_relation(self, monkeypatch):
         rel = general(Q="y*p^2/2", T="p^3 - p")
