@@ -3,7 +3,7 @@
 All first derivatives of (p, q, r) come from one implicit-function-theorem
 step, _implicit, fed D and the gradient of Phi by the seed's compiled
 relation and q, r and their partials by each family's own formulas;
-fdoracle.py certifies them by finite differences.
+fdoracle.py certifies them by complex-step differentiation.
 Every equation residual and balance term comes from one table, BRACKETS,
 of the Poisson brackets of the general heavenly equation.
 

@@ -36,7 +36,6 @@ TOL_ABS = 1e-12
 TOL_REL = 1e-12
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
-SHEET_MAX_ITER = 60      # Newton steps of solve_on_sheet
 # Scan values alive at once, up to a small factor (see _scan): cells are
 # evaluated SCAN_BUDGET // (4 * nodes) at a time.  A constant, so results
 # never depend on the cloud size.
@@ -52,11 +51,11 @@ class ImplicitRelation:
     numpy callables f(p, x, y, z, t).
 
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
-    (one value per bracket), dphi and grad at the chosen roots too;
-    phi_vec on scan cells: a (pairs, nodes) array of the grid nodes of each
-    (point, cell) pair against the (pairs, 1) columns of its point.  A
-    result may come back as a Python float when the expression is constant,
-    so callers broadcast.
+    (one value per bracket), dphi and grad at the chosen roots too, phi on
+    complex lanes in solve_on_sheet; phi_vec on scan cells: a (pairs,
+    nodes) array of the grid nodes of each (point, cell) pair against the
+    (pairs, 1) columns of its point.  A result may come back as a Python
+    float when the expression is constant, so callers broadcast.
 
     expr is the Phi expression over RELATION_VARIABLES that the callables
     were compiled from (see relation_from_expr), or None (and no grad) for
@@ -142,16 +141,22 @@ class RootTable:
         return _pick(self.root, first, counts, policy.selection)
 
 
+def _numeric(values) -> np.ndarray:
+    """A float64 array, complex128 if values are complex; no copy of one."""
+    a = np.asarray(values)
+    return a.astype(complex if a.dtype.kind == "c" else float, copy=False)
+
+
 def as_cloud(points) -> np.ndarray:
-    """An (N, 4) float array from one point or a sequence of points; an
-    (N, 4) float array is returned as it is."""
-    pts = np.asarray(points, dtype=float)
+    """An (N, 4) float (or complex) array from one point or a sequence of
+    points; an (N, 4) float array is returned as it is."""
+    pts = _numeric(points)
     return pts if pts.ndim == 2 and pts.shape[1] == 4 else pts.reshape(-1, 4)
 
 
 def cloud_lanes(point, proot):
     """Coordinate columns (4, N) and root lanes (N,) of a point or cloud."""
-    return as_cloud(point).T, np.asarray(proot, dtype=float).reshape(-1)
+    return as_cloud(point).T, _numeric(proot).reshape(-1)
 
 
 def lanes(value, n: int) -> np.ndarray:
@@ -159,7 +164,7 @@ def lanes(value, n: int) -> np.ndarray:
     if type(value) is np.ndarray and value.shape == (n,) \
             and value.dtype == np.float64:
         return value
-    return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+    return np.broadcast_to(_numeric(value), (n,))
 
 
 def median(values) -> float:
@@ -558,35 +563,32 @@ def enumerate_roots(rel: ImplicitRelation, points,
 
 
 def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:
-    """Newton from a seed root, staying on the seed's branch.
+    """fdoracle's complex step: p on the sheet of a real root, at points a
+    step h off the real axis along one coordinate.
 
-    Used by the finite-difference oracle so stencil evaluations do not hop
-    to a different branch.  seed is one root or one per row of the cloud;
-    returns one root per row, nan where Phi or dPhi/dp was not finite,
-    dPhi/dp was 0 or Newton did not converge.
+    seed is the root at the real points, one or one per row.  p = seed + i v
+    keeps it as real part; Newton, with dPhi/dp at the seed as its matrix,
+    drives |Im Phi| below h (TOL_ABS + TOL_REL |x|), so v depends on Phi
+    alone and a wrong matrix only costs steps.  nan where Phi or dPhi/dp
+    was not finite, dPhi/dp was 0 or Newton did not converge.
     """
     pts = as_cloud(points)
     n = len(pts)
     cols = pts.T
-    tol = TOL_ABS + TOL_REL * np.abs(cols[0])
-    p = lanes(seed, n).copy()
-    live = np.ones(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
+    tol = np.abs(pts.imag).sum(axis=1) * (TOL_ABS + TOL_REL * np.abs(cols[0]))
+    root = lanes(seed, n)
+    v = np.zeros(n)
     with np.errstate(all="ignore"):
-        for _ in range(SHEET_MAX_ITER):
-            f = lanes(rel.phi(p, *cols), n)
+        d = lanes(rel.dphi(root, *cols.real), n)
+        failed = ~np.isfinite(d) | (d == 0.0)
+        live = ~failed
+        for _ in range(MAX_NEWTON_ITER):
+            f = lanes(rel.phi(root + 1j * v, *cols), n)
             finite = np.isfinite(f)
             failed |= live & ~finite
-            live &= finite & (np.abs(f) > tol)
+            live &= finite & (np.abs(f.imag) > tol)
             if not live.any():
                 break
-            d = lanes(rel.dphi(p, *cols), n)
-            flat = live & (~np.isfinite(d) | (d == 0.0))
-            failed |= flat
-            live &= ~flat
-            # damp huge steps: the seed is assumed close; converged lanes
-            # keep their root
-            limit = 0.5 * (1.0 + np.abs(p))
-            step = np.maximum(np.minimum(f / d, limit), -limit)
-            p = np.where(live, p - step, p)
-    return np.where(failed | live, np.nan, p)
+            # converged lanes keep their step
+            v = np.where(live, v - f.imag / d, v)
+    return np.where(failed | live, np.nan, root + 1j * v)

@@ -36,9 +36,9 @@ from .implicitsolve import (
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
 # Cloud rows solved at a time: one scan block of 4 096 rows (`rows` in
-# implicitsolve._scan), and 16 fdoracle blocks of 256 samples, 4 096
-# stencil lanes each.  Every per-point result is computed row by row, so
-# no result depends on it.
+# implicitsolve._scan), and the lanes of each of fdoracle's four on-sheet
+# solves.  Every per-point result is computed row by row, so no result
+# depends on it.
 CLOUD_CHUNK = SCAN_BUDGET // 16
 
 

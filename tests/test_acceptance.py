@@ -14,6 +14,7 @@ import pytest
 
 from _families import halton_cloud, quadratic_shock_def, random_shock_family, \
     second_shock_def, shock_def_as_general, simple_shared
+from heavenly import fdoracle
 from heavenly.calculus import (
     compat_residuals,
     ghe_residual,
@@ -23,7 +24,7 @@ from heavenly.calculus import (
     reduced_balance,
 )
 from heavenly.cliapp import load_scenario, main
-from heavenly.fdoracle import OFFSETS, _richardson, certify_sample
+from heavenly.fdoracle import certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
 from heavenly.registry import GeneralFamily, ShockFamily
 from heavenly.superpose import solve_point, verify_theorem
@@ -160,25 +161,27 @@ def test_criterion_5_quadratic_identity(bank):
     assert worst <= 1e-12
 
 
-def test_criterion_6_derivative_certification(bank):
+def test_criterion_6_derivative_certification(bank, monkeypatch):
     scenarios, _ = bank
-    worst = 0.0
+    worst = step_gap = 0.0
     for fam, _, pts, _ in scenarios[:4]:
         cloud, _ = solve_point(fam, pts[:6], BranchPolicy())
         for i, s in enumerate(cloud.samples):
             # the largest deviation over the certified points
             cert = certify_sample(s, fam, i)
             worst = max(worst, max(cert.deviations.values()))
-    # fourth-order convergence probe on a known derivative
-    import math
-    devs = [abs(_richardson(*(math.sin(0.6 + k * h) for k in OFFSETS), h)
-                - math.cos(0.6))
-            for h in (1e-1, 1e-2)]
-    ratio = devs[0] / devs[1]
-    ok = worst <= 1e-6 and 5e3 <= ratio <= 2e4
+            # the complex step has no truncation error left to see: a step
+            # 80 orders of magnitude smaller reads the same partials
+            ref = fdoracle.partials(fam, i, s.point, s.p)
+            with monkeypatch.context() as m:
+                m.setattr(fdoracle, "STEP", 1e-100)
+                tiny = fdoracle.partials(fam, i, s.point, s.p)
+            step_gap = max(step_gap,
+                           (np.abs(tiny - ref) / (1.0 + np.abs(ref))).max())
+    ok = worst <= 1e-6 and step_gap <= 1e-14
     announce(6, "derivative certification", ok)
     assert worst <= 1e-6
-    assert 5e3 <= ratio <= 2e4
+    assert step_gap <= 1e-14
 
 
 def test_criterion_7_root_oracle_and_reproducibility(tmp_path, monkeypatch):

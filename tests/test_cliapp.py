@@ -632,8 +632,9 @@ _X_FOLD = -2.0 / (3.0 * 3.0 ** 0.5)
     # at p = -1/sqrt(3), so |D| ~ 3e-4 < 1e-3
     ([[_X_FOLD + 1e-8, 1.0, 1.0, 1.0], [-0.2, 1.0, 1.0, 1.0]], (1, 1, 0), 0),
     # across the fold: 100 holes, 14 folds, 86 admissible points, all
-    # within 1e-6 of the fold, so every stencil (h ~ 1.4e-3) crosses it
-    (GOLDEN["folds_cubic"]["points"], (0, 14, 186), 1),
+    # within 1e-6 of the fold; the complex step leaves no real point on
+    # the fold's other side, so all 86 certify
+    (GOLDEN["folds_cubic"]["points"], (86, 14, 100), 0),
 ], ids=["past_the_fold", "folds_cubic"])
 def test_fdcheck_counts_solve_folds_as_near_fold(points, counts, code,
                                                  tmp_path, monkeypatch):
@@ -656,6 +657,66 @@ def test_fdcheck_counts_solve_folds_as_near_fold(points, counts, code,
     assert result["near_fold"] == solved["n_folds"]
     assert result["certified"] + result["holes"] == \
         solved["n_points"] - solved["n_folds"]
+
+
+def _one_seed(raw):
+    raw.update(seeds=raw["seeds"][:1], coefficients=[2.0])
+
+
+def _positive_x(raw):
+    raw["sampling"]["box"]["x"] = [0.2, 1.0]
+
+
+@pytest.mark.parametrize("seed, change, counts", [
+    # p^t scanned above p = 0.1: most points have no root there
+    ({"T": "p^t + p"}, lambda raw: raw.update(branch={"p_lo": 0.1}),
+     (152, 0, 324)),
+    ({"Q": "y^2/2 + y*sqrt(p + 11)", "T": "log(p + 11) + t*p"}, None,
+     (800, 0, 0)),
+    # a call between p and y, as CI's call_one.json
+    ({"Q": "y^2/2 + y*p^2/2 + sin(y*p)/10"}, _one_seed, (400, 0, 0)),
+    # p^5 compiles to ** and x > 0 puts every root below 0
+    ({"T": "t*p + p + p^5"}, _positive_x, (800, 0, 0)),
+], ids=["p_pow_t", "sqrt_and_log", "sin_yp", "p5_negative"])
+def test_fdcheck_certifies_calls_and_powers_to_rounding(seed, change, counts,
+                                                        tmp_path):
+    # general_balanced with seed 0 changed: the complex step goes through
+    # every compiled call and power with a complex argument
+    raw = json.loads(Path(scenario_path("general_balanced")).read_text())
+    raw["seeds"][0].update(seed)
+    if change:
+        change(raw)
+    report = tmp_path / "fdcheck.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fdcheck", write_scenario(tmp_path, raw), "--points",
+                     "400", "--report", str(report)]) == 0
+    result = json.loads(report.read_text())["result"]
+    assert (result["certified"], result["near_fold"], result["holes"]) == \
+        counts
+    assert result["max_deviation"] <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "general_balanced",
+                                  "general_unbalanced", "trivial_overlap"])
+def test_fdcheck_fails_a_wrong_partial(name, tmp_path, monkeypatch, capsys):
+    # p_y -> 1.7 p_y + 0.3, as in test_violate_mode_fails_a_derivative_bug.
+    # The oracle reads Phi and the family's q and r, never the closed-form
+    # partials, so the error shows on every shipped scenario.
+    implicit = calculus._implicit
+
+    def skewed(point, p, D, phi, q, r):
+        phi = (1.7 * phi[0] - 0.3 * D, phi[1], phi[2])
+        return implicit(point, p, D, phi, q, r)
+
+    monkeypatch.setattr(calculus, "_implicit", skewed)
+    report = tmp_path / "fdcheck.json"
+    assert main(["fdcheck", scenario_path(name), "--report",
+                 str(report)]) == 1
+    assert "finite-difference deviation above tolerance" in \
+        capsys.readouterr().out
+    deviations = json.loads(report.read_text())["result"]["deviations"]
+    assert min(devs["p_y"] for devs in deviations) >= 0.2
 
 
 def test_infinite_root_derivative_is_a_hole(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from _families import quadratic_shock_def, sf, simple_shared
 from heavenly.cliapp import load_scenario, scrambled_halton
+from heavenly.fdoracle import STEP, certify_sample
 from heavenly.implicitsolve import (
     FOLD_TOL,
     TOL_ABS,
@@ -20,6 +22,10 @@ from heavenly.implicitsolve import (
 )
 from heavenly.registry import GeneralSolutionDef, ShockSolutionDef, \
     SharedProfile
+from heavenly.superpose import solve_point
+from test_golden import CASES, build
+
+GOLDEN = {case["name"]: case for case in CASES}
 
 
 def affine_relation():
@@ -284,12 +290,32 @@ def test_median_matches_numpy_on_random_ties():
 
 class TestSolveOnSheet:
     def test_stays_on_branch(self):
+        # three roots at x = 0, where D = 3p^2 - 1 is 2, -1 and 2: each
+        # point moved STEP along imaginary x keeps its seed as real part,
+        # and Im p / STEP is dp/dx = -1/D on that seed's sheet
         rel = cubic_relation()
-        # three roots at x=0; seed near 1 must converge to 1
-        p = solve_on_sheet(rel, (0.0, 0.0, 0.0, 0.0), seed=0.9)
-        assert p == pytest.approx(1.0, abs=1e-10)
-        p = solve_on_sheet(rel, (0.0, 0.0, 0.0, 0.0), seed=-0.9)
-        assert p == pytest.approx(-1.0, abs=1e-10)
+        moved = np.full((3, 4), 0j)
+        moved[:, 0] = 1j * STEP
+        seed = np.array([-1.0, 0.0, 1.0])
+        p = solve_on_sheet(rel, moved, seed)
+        assert p.real.tolist() == seed.tolist()
+        assert p.imag / STEP == pytest.approx([-0.5, 1.0, -0.5], rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["shock_n3", "general_unbalanced",
+                                      "folds_cubic"])
+    def test_a_wrong_matrix_only_costs_steps(self, name, monkeypatch):
+        # the converged root depends on Phi alone: with 1.3 D as Newton's
+        # matrix every lane still certifies, to the same rounding level
+        fam, _, policy = build(GOLDEN[name])
+        cloud, _ = solve_point(fam, np.array(GOLDEN[name]["points"]), policy)
+        scaled = [dataclasses.replace(
+            rel, dphi=lambda *args, d=rel.dphi: 1.3 * d(*args))
+            for rel in map(fam.relation, range(fam.size))]
+        monkeypatch.setattr(fam, "relation", scaled.__getitem__)
+        for i, s in enumerate(cloud.samples):
+            cert = certify_sample(s, fam, i)
+            assert (cert.certified, cert.holes) == (len(cloud.admissible), 0)
+            assert max(cert.deviations.values()) <= 1e-12
 
     def test_flat_relation_gives_nan(self):
         rel = ImplicitRelation(phi=lambda p, *pt: 1.0,
