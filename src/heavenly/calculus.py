@@ -1,9 +1,9 @@
 """Closed-form field derivatives and residuals over point clouds.
 
 All first derivatives of (p, q, r) come from one implicit-function-theorem
-step, _implicit, fed D and the gradient of Phi by the seed's compiled
-relation and q, r and their partials by each family's own formulas;
-fdoracle.py certifies them by complex-step differentiation.
+step, _implicit, fed the root's D (from enumerate_roots), the gradient of
+Phi by the seed's relation, and q, r and their partials by each family's
+formulas; fdoracle.py certifies them by complex-step differentiation.
 Every equation residual and balance term comes from one table, BRACKETS,
 of the Poisson brackets of the general heavenly equation.
 
@@ -31,9 +31,9 @@ class FieldSample:
 
     Every field is an array with one lane per point and point is the
     (N, 4) cloud.  A seed's sample also keeps the partials its fields came
-    from: q_p and r_p of the family's q and r, and the relation's Phi_t
-    (d12Q, d12R and d2T on a general seed, beta'F', delta'F' and alpha'F'
-    on a shock seed); a superposed sample has none.
+    from: q_p and r_p of the family's q and r, the relation's Phi_t (d12Q,
+    d12R and d2T on a general seed, beta'F', delta'F' and alpha'F' on a
+    shock seed) and Phi_p, the fold test's D; a superposed sample has none.
     """
 
     p: np.ndarray
@@ -54,6 +54,7 @@ class FieldSample:
     q_p: np.ndarray = None
     r_p: np.ndarray = None
     Phi_t: np.ndarray = None
+    Phi_p: np.ndarray = None
 
     PARTIAL_NAMES = ("p_x", "p_y", "p_z", "p_t",
                      "q_x", "q_y", "q_t",
@@ -93,15 +94,15 @@ def _implicit(point, p, D, phi, q, r) -> FieldSample:
     values = dict(p=p, q=q, r=r, p_x=p_x, p_y=p_y, p_z=p_z, p_t=p_t,
                   q_x=q_p * p_x, q_y=q_dy + q_p * p_y, q_t=q_p * p_t,
                   r_x=r_p * p_x, r_y=r_p * p_y, r_z=r_dz + r_p * p_z,
-                  r_t=r_p * p_t, q_p=q_p, r_p=r_p, Phi_t=phi[2])
+                  r_t=r_p * p_t, q_p=q_p, r_p=r_p, Phi_t=phi[2], Phi_p=D)
     return FieldSample(point=as_cloud(point),
                        **{name: lanes(v, n) for name, v in values.items()})
 
 
 @np.errstate(all="ignore")
-def shock_derivatives(rel, sdef, shared, point, proot) -> FieldSample:
-    """The implicit step on the seed's relation rel, with
-    q = m(y) + beta'(y) F(p) and r = n(z) + delta'(z) F(p)."""
+def shock_derivatives(rel, sdef, shared, point, proot, D) -> FieldSample:
+    """The implicit step at roots proot, of dPhi/dp D, on the seed's relation
+    rel, with q = m(y) + beta'(y) F(p) and r = n(z) + delta'(z) F(p)."""
     (x, y, z, t), p = cloud_lanes(point, proot)
     F0 = sdef.F.compiled((0,))(p)
     F1 = sdef.F.compiled((1,))(p)
@@ -111,21 +112,19 @@ def shock_derivatives(rel, sdef, shared, point, proot) -> FieldSample:
          sdef.m.compiled((1,))(y) + shared.beta.compiled((2,))(y) * F0)
     r = (sdef.n.compiled((0,))(z) + de1 * F0, de1 * F1,
          sdef.n.compiled((1,))(z) + shared.delta.compiled((2,))(z) * F0)
-    at = (p, x, y, z, t)
-    return _implicit(point, p, rel.dphi(*at), [g(*at) for g in rel.grad], q, r)
+    return _implicit(point, p, D, [g(p, x, y, z, t) for g in rel.grad], q, r)
 
 
 @np.errstate(all="ignore")
-def general_derivatives(rel, gdef, point, proot) -> FieldSample:
-    """The implicit step on the seed's relation rel, with q = d2Q(p, y)
-    and r = d2R(p, z)."""
+def general_derivatives(rel, gdef, point, proot, D) -> FieldSample:
+    """The implicit step at roots proot, of dPhi/dp D, on the seed's relation
+    rel, with q = d2Q(p, y) and r = d2R(p, z)."""
     (x, y, z, t), p = cloud_lanes(point, proot)
     q = (gdef.Q.compiled((0, 1))(p, y), gdef.Q.compiled((1, 1))(p, y),
          gdef.Q.compiled((0, 2))(p, y))
     r = (gdef.R.compiled((0, 1))(p, z), gdef.R.compiled((1, 1))(p, z),
          gdef.R.compiled((0, 2))(p, z))
-    at = (p, x, y, z, t)
-    return _implicit(point, p, rel.dphi(*at), [g(*at) for g in rel.grad], q, r)
+    return _implicit(point, p, D, [g(p, x, y, z, t) for g in rel.grad], q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -616,7 +616,7 @@ def cmd_fdcheck(scenario, family, points, tol, args) -> tuple[int, dict]:
     if n_ok == 0:
         failures.append("no certifiable samples")
     elif _above(max_dev, tol["fd"]):
-        failures.append("finite-difference deviation above tolerance")
+        failures.append("complex-step deviation above tolerance")
 
     print(f"scenario: {scenario.name}")
     print(f"certified: {n_ok}  near-fold skipped: {n_near_fold}  "

@@ -42,11 +42,11 @@ class CertReport:
         return "ok" if self.certified else "hole"
 
 
-def partials(family, index: int, points, roots) -> np.ndarray:
+def partials(family, index: int, points, roots, D) -> np.ndarray:
     """The (4 axes, 3 fields, N lanes) partials of seed index's (p, q, r)
-    at its roots: per axis, the points move STEP along its imaginary
-    direction, one solve_on_sheet of every lane gives p there and the
-    family's values q and r; nan where a complex value is not finite."""
+    at its roots, of dPhi/dp D: per axis, the points move STEP along its
+    imaginary direction, one solve_on_sheet of every lane gives p there and
+    the family's values q and r; nan where a complex value is not finite."""
     rel = family.relation(index)
     points = as_cloud(points)
     out = np.empty((len(AXES), 3, len(points)))
@@ -54,7 +54,7 @@ def partials(family, index: int, points, roots) -> np.ndarray:
         for axis in range(len(AXES)):
             moved = points.astype(complex)
             moved[:, axis] += 1j * STEP
-            p = solve_on_sheet(rel, moved, roots)
+            p = solve_on_sheet(rel, moved, roots, D)
             vals = np.array(family.values(index, moved, p))
             out[axis] = np.where(np.isfinite(vals), vals.imag, np.nan) / STEP
     return out
@@ -65,7 +65,7 @@ def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
     against the oracle: the deviation is |oracle - analytic| / (1 +
     |analytic|), and a lane with a non-finite oracle partial is a hole."""
     n = len(as_cloud(sample.point))
-    oracle = partials(family, index, sample.point, lanes(sample.p, n))
+    oracle = partials(family, index, sample.point, sample.p, sample.Phi_p)
     good = np.isfinite(oracle).all(axis=(0, 1))
     worst = {}
     for name, comp, axis in _PARTIALS:

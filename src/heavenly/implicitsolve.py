@@ -51,11 +51,11 @@ class ImplicitRelation:
     numpy callables f(p, x, y, z, t).
 
     All arguments broadcast.  phi and dphi are evaluated on Newton lanes
-    (one value per bracket), dphi and grad at the chosen roots too, phi on
-    complex lanes in solve_on_sheet; phi_vec on scan cells: a (pairs,
-    nodes) array of the grid nodes of each (point, cell) pair against the
-    (pairs, 1) columns of its point.  A result may come back as a Python
-    float when the expression is constant, so callers broadcast.
+    (one value per bracket), dphi once at every root (its one D), grad at
+    the chosen roots, phi on complex lanes in solve_on_sheet; phi_vec on
+    scan cells: a (pairs, nodes) array of the grid nodes of each (point,
+    cell) pair against the (pairs, 1) columns of its point.  A result may
+    be a Python float when the expression is constant, so callers broadcast.
 
     expr is the Phi expression over RELATION_VARIABLES that the callables
     were compiled from (see relation_from_expr), or None (and no grad) for
@@ -525,8 +525,7 @@ def _newton(rel: ImplicitRelation, pts, owner, lo, hi, flo):
                 v[..., keep] for v in (act, pa, lo, hi, flo, ca, tol))
     # the lanes still live ran out of iterations
     p[act], iterations[act] = pa, it
-    d = lanes(rel.dphi(p, *cols), n)
-    return p, d, iterations, converged
+    return p, iterations, converged
 
 
 def enumerate_roots(rel: ImplicitRelation, points,
@@ -541,17 +540,14 @@ def enumerate_roots(rel: ImplicitRelation, points,
         lo = np.concatenate((grid[b_col], grid[z_col]))
         hi = np.concatenate((grid[b_col + 1], grid[z_col]))
         nb, nz = len(b_col), len(z_col)
-        root = np.empty(nb + nz)
-        deriv = np.empty(nb + nz)
+        root = lo.copy()        # an exact zero is its grid node
         iterations = np.zeros(nb + nz, dtype=np.int32)
         converged = np.ones(nb + nz, dtype=bool)
         if nb:
-            root[:nb], deriv[:nb], iterations[:nb], converged[:nb] = \
-                _newton(rel, pts, owner[:nb], lo[:nb], hi[:nb],
-                        found["b_flo"])
-        if nz:
-            root[nb:] = lo[nb:]
-            deriv[nb:] = lanes(rel.dphi(lo[nb:], *pts[owner[nb:]].T), nz)
+            root[:nb], iterations[:nb], converged[:nb] = _newton(
+                rel, pts, owner[:nb], lo[:nb], hi[:nb], found["b_flo"])
+        # the one D of each root: the fold test and the partials read it
+        deriv = lanes(rel.dphi(root, *pts[owner].T), nb + nz)
     if nz:
         # _scan gives brackets in (row, node) order; brackets sit between
         # grid nodes, exact zeros on them
@@ -562,24 +558,24 @@ def enumerate_roots(rel: ImplicitRelation, points,
                      iterations=iterations, converged=converged, points=pts)
 
 
-def solve_on_sheet(rel: ImplicitRelation, points, seed) -> np.ndarray:
+def solve_on_sheet(rel: ImplicitRelation, points, seed, d) -> np.ndarray:
     """fdoracle's complex step: p on the sheet of a real root, at points a
     step h off the real axis along one coordinate.
 
-    seed is the root at the real points, one or one per row.  p = seed + i v
-    keeps it as real part; Newton, with dPhi/dp at the seed as its matrix,
-    drives |Im Phi| below h (TOL_ABS + TOL_REL |x|), so v depends on Phi
-    alone and a wrong matrix only costs steps.  nan where Phi or dPhi/dp
-    was not finite, dPhi/dp was 0 or Newton did not converge.
+    seed is the root at the real points and d its dPhi/dp, one or one per
+    row.  p = seed + i v keeps the root as real part; Newton, with d as its
+    matrix, drives |Im Phi| below h (TOL_ABS + TOL_REL |x|), so v depends
+    on Phi alone and a wrong matrix only costs steps.  nan where Phi or d
+    was not finite, d was 0 or Newton did not converge.
     """
     pts = as_cloud(points)
     n = len(pts)
     cols = pts.T
     tol = np.abs(pts.imag).sum(axis=1) * (TOL_ABS + TOL_REL * np.abs(cols[0]))
     root = lanes(seed, n)
+    d = lanes(d, n)
     v = np.zeros(n)
     with np.errstate(all="ignore"):
-        d = lanes(rel.dphi(root, *cols.real), n)
         failed = ~np.isfinite(d) | (d == 0.0)
         live = ~failed
         for _ in range(MAX_NEWTON_ITER):

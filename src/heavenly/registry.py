@@ -105,17 +105,18 @@ def _probe(family, i):
     """
     rel = family.relation(i)
     with np.errstate(all="ignore"):
-        family.sample(i, _PROBE_CLOUD, _PROBE_POINTS)
+        at = [_PROBE_POINTS] * 5
+        values = [f(*at) for f in (rel.phi, rel.dphi, *rel.grad)]
+        family.sample(i, _PROBE_CLOUD, _PROBE_POINTS, values[1])
         for obj in (family.defs[i], family.shared):
             for attr in obj.VARIABLES:
                 fn = getattr(obj, attr)
                 for orders, compiled in fn._compiled.items():
                     _require_finite(compiled(*[_PROBE_POINTS] * fn.arity),
                                     f"partial {orders} of '{attr}'")
-        at = [_PROBE_POINTS] * 5
-        for name, f in zip(("Phi", "dPhi/dp", "dPhi/dy", "dPhi/dz",
-                            "dPhi/dt"), (rel.phi, rel.dphi, *rel.grad)):
-            _require_finite(f(*at), f"{name} of seed {i}")
+        for name, vals in zip(("Phi", "dPhi/dp", "dPhi/dy", "dPhi/dz",
+                               "dPhi/dt"), values):
+            _require_finite(vals, f"{name} of seed {i}")
 
 
 class _Family:
@@ -152,9 +153,9 @@ class ShockFamily(_Family):
     def _relation(self, d):
         return implicitsolve.shock_relation(d, self.shared)
 
-    def sample(self, i: int, point, proot):
+    def sample(self, i: int, point, proot, D):
         return calculus.shock_derivatives(self.relation(i), self.defs[i],
-                                          self.shared, point, proot)
+                                          self.shared, point, proot, D)
 
     def values(self, i: int, point, proot):
         """(p, q, r) values only, no implicit-function-theorem division.
@@ -178,9 +179,9 @@ class GeneralFamily(_Family):
     def _relation(self, d):
         return implicitsolve.general_relation(d)
 
-    def sample(self, i: int, point, proot):
+    def sample(self, i: int, point, proot, D):
         return calculus.general_derivatives(self.relation(i), self.defs[i],
-                                            point, proot)
+                                            point, proot, D)
 
     def values(self, i: int, point, proot):
         (x, y, z, t), p = cloud_lanes(point, proot)

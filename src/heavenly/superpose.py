@@ -146,11 +146,12 @@ def solve_point(family, points, policy: BranchPolicy):
         failed_seed[alive[hole | fold]] = i
         good = ~(hole | fold)
         alive = alive[good]
-        chosen = [root[good] for root in chosen]
-        chosen.append(table.root[pick[good]])
+        chosen = [(root[good], D[good]) for root, D in chosen]
+        # the D the fold test read is the D that divides the partials
+        chosen.append((table.root[pick[good]], table.deriv[pick[good]]))
     cloud_pts = _rows(pts, alive)
-    samples = [family.sample(i, cloud_pts, root)
-               for i, root in enumerate(chosen)]
+    samples = [family.sample(i, cloud_pts, root, D)
+               for i, (root, D) in enumerate(chosen)]
     cloud = CloudSolution(points=pts, status=status, failed_seed=failed_seed,
                           admissible=alive, samples=samples)
     bad = np.flatnonzero(status != OK)

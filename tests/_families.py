@@ -56,11 +56,12 @@ def unbalanced_general_pair():
 
 
 def take_lanes(sample: FieldSample, rows) -> FieldSample:
-    """The cloud sample of the given lanes, in that order: [k] is the
-    one-row cloud at lane k."""
+    """The seed cloud sample of the given lanes, in that order: [k] is the
+    one-row cloud at lane k.  The fields and Phi_p, which the oracle reads,
+    are kept."""
     return FieldSample(point=sample.point[rows],
                        **{name: getattr(sample, name)[rows]
-                          for name in FIELD_NAMES})
+                          for name in FIELD_NAMES + ("Phi_p",)})
 
 
 def random_polynomial(var, degree, rng, scale=0.5):

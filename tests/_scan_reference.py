@@ -82,5 +82,4 @@ def full_newton(rel, pts, owner, lo, hi, flo):
             fc = lanes(rel.phi(pa[collapsed], *ca[:, collapsed]), done.size)
             converged[done] = np.isfinite(fc) & (np.abs(fc) <= tol[done])
         act = act[~collapsed & (iterations[act] < MAX_NEWTON_ITER)]
-    d = lanes(rel.dphi(p, *cols), n)
-    return p, d, iterations, converged
+    return p, iterations, converged

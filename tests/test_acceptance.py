@@ -172,10 +172,10 @@ def test_criterion_6_derivative_certification(bank, monkeypatch):
             worst = max(worst, max(cert.deviations.values()))
             # the complex step has no truncation error left to see: a step
             # 80 orders of magnitude smaller reads the same partials
-            ref = fdoracle.partials(fam, i, s.point, s.p)
+            ref = fdoracle.partials(fam, i, s.point, s.p, s.Phi_p)
             with monkeypatch.context() as m:
                 m.setattr(fdoracle, "STEP", 1e-100)
-                tiny = fdoracle.partials(fam, i, s.point, s.p)
+                tiny = fdoracle.partials(fam, i, s.point, s.p, s.Phi_p)
             step_gap = max(step_gap,
                            (np.abs(tiny - ref) / (1.0 + np.abs(ref))).max())
     ok = worst <= 1e-6 and step_gap <= 1e-14

@@ -47,8 +47,10 @@ class TestShockDerivatives:
     def test_worked_example(self):
         shared = simple_shared()
         sdef = quadratic_shock_def()
-        s = shock_derivatives(shock_relation(sdef, shared), sdef, shared,
-                              (1.0, 1.0, 1.0, 1.0), -0.25)
+        rel = shock_relation(sdef, shared)
+        point = (1.0, 1.0, 1.0, 1.0)
+        root = enumerate_roots(rel, point)[0]
+        s = shock_derivatives(rel, sdef, shared, point, root.root, root.deriv)
         assert s.p == -0.25
         assert s.p_x == pytest.approx(-0.25)
         assert s.p_y == pytest.approx(1.0 / 16.0)
@@ -63,8 +65,8 @@ class TestShockDerivatives:
                                 m=sf("sin(y)", ("y",)), n=sf("0", ("z",)))
         point = (0.5, 0.8, 1.1, 0.9)
         rel = ShockFamily([sdef], shared).relation(0)
-        roots = enumerate_roots(rel, point)
-        s = shock_derivatives(rel, sdef, shared, point, roots[0].root)
+        root = enumerate_roots(rel, point)[0]
+        s = shock_derivatives(rel, sdef, shared, point, root.root, root.deriv)
         assert s.p_y == 0.0
         assert s.q == pytest.approx(np.sin(0.8))
 
@@ -74,10 +76,10 @@ class TestShockDerivatives:
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
         point = (0.2, 1.0, 1.0, 1.0)
         rel = ShockFamily([sdef], shared).relation(0)
-        root = enumerate_roots(rel, point)[0].root
-        s = shock_derivatives(rel, sdef, shared, point, root)
+        root = enumerate_roots(rel, point)[0]
+        s = shock_derivatives(rel, sdef, shared, point, root.root, root.deriv)
         # F'' = 0 so D = G'(p) = p^2 + 1
-        assert s.p_x == pytest.approx(-1.0 / (root ** 2 + 1.0))
+        assert s.p_x == pytest.approx(-1.0 / (root.root ** 2 + 1.0))
 
     def test_zero_derivative_gives_nonfinite_partials(self):
         # F = p, G = 0: D = S F'' + G' = 0.  solve_point drops such a point
@@ -86,10 +88,12 @@ class TestShockDerivatives:
         shared = simple_shared()
         sdef = ShockSolutionDef(F=sf("p", ("p",)), G=sf("0", ("p",)),
                                 m=sf("0", ("y",)), n=sf("0", ("z",)))
+        rel = shock_relation(sdef, shared)
+        point = (0.0, 1.0, 1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = shock_derivatives(shock_relation(sdef, shared), sdef, shared,
-                                  (0.0, 1.0, 1.0, 1.0), 0.0)
+            s = shock_derivatives(rel, sdef, shared, point, 0.0,
+                                  rel.dphi(0.0, *point))
         assert not np.isfinite(s.p_x).any()
 
     def test_gradient_proportionality(self):
@@ -102,7 +106,7 @@ class TestShockDerivatives:
         for point in halton_cloud(50, seed=1):
             root = enumerate_roots(fam.relation(0), point)[0]
             s = shock_derivatives(fam.relation(0), sdef, shared, point,
-                                  root.root)
+                                  root.root, root.deriv)
             al1 = shared.alpha.compiled((1,))(point[3])
             be1 = shared.beta.compiled((1,))(point[1])
             de1 = shared.delta.compiled((1,))(point[2])
@@ -120,8 +124,9 @@ class TestGeneralDerivatives:
         g = GeneralSolutionDef(Q=sf("p^2*y/2", ("p", "y")),
                                R=sf("p^2*z/2", ("p", "z")),
                                T=sf("p", ("p", "t")))
-        s = general_derivatives(general_relation(g), g, (0.0, 1.0, 1.0, 0.0),
-                                0.0)
+        rel, point = general_relation(g), (0.0, 1.0, 1.0, 0.0)
+        root = enumerate_roots(rel, point)[0]
+        s = general_derivatives(rel, g, point, root.root, root.deriv)
         assert s.p_x == pytest.approx(-1.0 / 3.0)
         assert s.p_t == 0.0
 
@@ -131,8 +136,9 @@ class TestGeneralDerivatives:
                                T=sf("p^3/3", ("p", "t")))
         fam = GeneralFamily([g], simple_shared())
         point = (0.4, 1.0, 1.2, 0.7)
-        root = enumerate_roots(fam.relation(0), point)[0].root
-        s = general_derivatives(fam.relation(0), g, point, root)
+        root = enumerate_roots(fam.relation(0), point)[0]
+        s = general_derivatives(fam.relation(0), g, point, root.root,
+                                root.deriv)
         assert s.p_t == 0.0
 
     def test_identity_like_case(self):
@@ -141,21 +147,26 @@ class TestGeneralDerivatives:
         g = GeneralSolutionDef(Q=sf("0", ("p", "y")),
                                R=sf("0", ("p", "z")),
                                T=sf("p", ("p", "t")))
-        s = general_derivatives(general_relation(g), g, (0.7, 1.0, 1.0, 1.0),
-                                -0.7)
+        rel, point = general_relation(g), (0.7, 1.0, 1.0, 1.0)
+        root = enumerate_roots(rel, point)[0]
+        assert root.root == -0.7
+        s = general_derivatives(rel, g, point, root.root, root.deriv)
         assert s.p_x == -1.0
         assert (s.p_y, s.p_z, s.p_t) == (0.0, 0.0, 0.0)
         assert (s.q, s.r) == (0.0, 0.0)
 
     def test_infinite_partial_raises_no_warning(self):
-        # T = sqrt(p) - 0.3 at p = 0: d1T = 1/(2 sqrt(p)) divides by zero
+        # T = sqrt(p) - 0.3 at x = 0.3: the root p = 0 is a grid node of
+        # the policy, where D = d1T = 1/(2 sqrt(p)) is infinite
         g = GeneralSolutionDef(Q=sf("0", ("p", "y")),
                                R=sf("0", ("p", "z")),
                                T=sf("sqrt(p) - 0.3", ("p", "t")))
+        rel, point = general_relation(g), (0.3, 1.0, 1.0, 1.0)
+        root = enumerate_roots(rel, point, BranchPolicy(-1.0, 1.0, 1025))[0]
+        assert (root.root, root.deriv) == (0.0, np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = general_derivatives(general_relation(g), g,
-                                    (0.3, 1.0, 1.0, 1.0), 0.0)
+            s = general_derivatives(rel, g, point, root.root, root.deriv)
         assert s.p_x == 0.0 and s.p_t == 0.0
 
 
@@ -307,8 +318,9 @@ class TestReducedBalance:
     def test_identical_defs_vanish(self):
         shared = simple_shared()
         g1, _ = unbalanced_general_pair()
-        s = general_derivatives(general_relation(g1), g1,
-                                (0.3, 1.0, 1.0, 1.0), 0.4)
+        rel, point = general_relation(g1), (0.3, 1.0, 1.0, 1.0)
+        root = enumerate_roots(rel, point)[0]
+        s = general_derivatives(rel, g1, point, root.root, root.deriv)
         rep = reduced_balance(s, s, shared)
         assert rep.value == 0.0
 

@@ -183,7 +183,7 @@ def test_a_nan_deviation_in_a_middle_slice_fails_fdcheck(tmp_path,
     assert len(calls) == 5 * 3
     out = capsys.readouterr().out
     assert "max deviation: nan" in out
-    assert "finite-difference deviation above tolerance" in out
+    assert "complex-step deviation above tolerance" in out
     result = json.loads(report.read_text())["result"]
     assert math.isnan(result["max_deviation"])
     assert math.isnan(result["deviations"][0]["p_x"])

@@ -506,6 +506,40 @@ def test_seed_compat_sees_a_q_p_error(name, tmp_path, monkeypatch, capsys):
         capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "general_balanced"])
+def test_verify_tells_the_declared_b_bracket(name, tmp_path, monkeypatch,
+                                             capsys):
+    # The seeds solve a{r,p}_{yt} + b{r,q}_{xt} = 0 and also the form with
+    # b{q,p}_{xt}, but their superposition solves only the declared one:
+    # with the b term swapped, seed_ghe stays at rounding while
+    # superposed_ghe reads 0.91, 0.73 and 0.80, and verify fails.
+    a_term, (b, _r, _q, u, v) = calculus.BRACKETS
+    monkeypatch.setattr(calculus, "BRACKETS", (a_term, (b, "q", "p", u, v)))
+    report = tmp_path / "r.json"
+    assert main(["verify", scenario_path(name), "--report",
+                 str(report)]) == 1
+    assert "superposed residual pass fraction too low" in \
+        capsys.readouterr().out
+    checks = json.loads(report.read_text())["report"]["checks"]
+    assert checks["seed_ghe"]["max"] <= 1e-15
+    assert checks["superposed_ghe"]["max"] >= 0.5
+
+
+@pytest.mark.parametrize("term", [0, 1])
+def test_violate_control_tells_a_bracket_orientation(term, tmp_path,
+                                                     monkeypatch, capsys):
+    # {g, f} = -{f, g}: flipping either bracket changes the sign of one
+    # term of the equation, and general_unbalanced's cross terms then
+    # cancel, so its expected violation is not seen.
+    brackets = list(calculus.BRACKETS)
+    coef, f, g, u, v = brackets[term]
+    brackets[term] = (coef, g, f, u, v)
+    monkeypatch.setattr(calculus, "BRACKETS", tuple(brackets))
+    assert main(["verify", scenario_path("general_unbalanced"), "--report",
+                 str(tmp_path / "r.json")]) == 1
+    assert "expected violation not observed" in capsys.readouterr().out
+
+
 class TestNanFails:
     """A check whose maximum or median is nan could not be computed: it
     fails, and the run prints no floating-point warning."""
@@ -713,7 +747,7 @@ def test_fdcheck_fails_a_wrong_partial(name, tmp_path, monkeypatch, capsys):
     report = tmp_path / "fdcheck.json"
     assert main(["fdcheck", scenario_path(name), "--report",
                  str(report)]) == 1
-    assert "finite-difference deviation above tolerance" in \
+    assert "complex-step deviation above tolerance" in \
         capsys.readouterr().out
     deviations = json.loads(report.read_text())["result"]["deviations"]
     assert min(devs["p_y"] for devs in deviations) >= 0.2

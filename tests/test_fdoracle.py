@@ -33,7 +33,7 @@ class TestFdPartial:
         S = point[1:].sum()
         assert root.root == pytest.approx(-point[0] / (S + 1.0), rel=1e-12)
         p = solve_on_sheet(rel, point + [1j * fdoracle.STEP, 0, 0, 0],
-                           root.root)
+                           root.root, root.deriv)
         assert p.real == root.root
         assert p.imag / fdoracle.STEP == pytest.approx(-1.0 / (S + 1.0),
                                                        rel=1e-15)
@@ -61,7 +61,7 @@ class TestCertifySample:
         rel = fam.relation(0)
         point = (0.5, 1.0, 1.0, 1.0)
         root = enumerate_roots(rel, point)[0]
-        s = fam.sample(0, point, root.root)
+        s = fam.sample(0, point, root.root, root.deriv)
         assert (s.q, s.r) == (0.0, 0.0)
         cert = certify_sample(s, fam, 0)
         assert cert.status == "ok"
@@ -135,9 +135,9 @@ class TestCertifyCloud:
         fam, s = shock_cloud(n)
         calls = []
 
-        def counting(rel, points, seed):
+        def counting(rel, points, seed, d):
             calls.append(len(points))
-            return solve_on_sheet(rel, points, seed)
+            return solve_on_sheet(rel, points, seed, d)
 
         monkeypatch.setattr(fdoracle, "solve_on_sheet", counting)
         cert = certify_sample(s, fam, 0)

@@ -60,10 +60,6 @@ def _sample_peak(tmp_path, count) -> float:
             sc.tolerances, args))
 
 
-def test_sample_peak(tmp_path):
-    assert _sample_peak(tmp_path, 12_000) < 30 * MB
-
-
 def test_sample_formats_rows_in_blocks(tmp_path):
     # a whole 4 096-row slice as Python floats peaked at 14 MB
     assert _sample_peak(tmp_path, 20_000) < 9 * MB

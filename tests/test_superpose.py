@@ -1,3 +1,7 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,10 @@ from _families import (
     simple_shared,
     unbalanced_general_pair,
 )
+from heavenly import implicitsolve, superpose as superpose_module
 from heavenly.calculus import FieldSample, compat_residuals, ghe_residual
+from heavenly.cliapp import load_scenario
+from heavenly.fdoracle import certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots
 from heavenly.registry import GeneralFamily, ShockFamily
 from heavenly.superpose import (
@@ -19,6 +26,10 @@ from heavenly.superpose import (
     superpose,
     verify_theorem,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("shock_n2", "shock_n3", "general_balanced", "general_unbalanced",
+           "trivial_overlap")
 
 
 def two_seed_family():
@@ -30,8 +41,8 @@ class TestSuperpose:
     def test_identity(self):
         fam = two_seed_family()
         point = (1.0, 1.0, 1.0, 1.0)
-        root = enumerate_roots(fam.relation(0), point)[0].root
-        s = fam.sample(0, point, root)
+        root = enumerate_roots(fam.relation(0), point)[0]
+        s = fam.sample(0, point, root.root, root.deriv)
         out = superpose([s], [1.0])
         for name in ("p", "q", "r") + FieldSample.PARTIAL_NAMES:
             assert getattr(out, name) == getattr(s, name)
@@ -53,8 +64,10 @@ class TestSuperpose:
         fam = two_seed_family()
         p1 = (1.0, 1.0, 1.0, 1.0)
         p2 = (1.0, 1.0, 1.0, 1.5)
-        s1 = fam.sample(0, p1, enumerate_roots(fam.relation(0), p1)[0].root)
-        s2 = fam.sample(1, p2, enumerate_roots(fam.relation(1), p2)[0].root)
+        r1 = enumerate_roots(fam.relation(0), p1)[0]
+        r2 = enumerate_roots(fam.relation(1), p2)[0]
+        s1 = fam.sample(0, p1, r1.root, r1.deriv)
+        s2 = fam.sample(1, p2, r2.root, r2.deriv)
         with pytest.raises(SuperposeError, match="point mismatch"):
             superpose([s1, s2], [1.0, 1.0])
 
@@ -67,8 +80,11 @@ class TestSuperpose:
     def test_other_cloud_rejected(self, other, message):
         # a different number of rows, or a nan coordinate, is no match
         fam = two_seed_family()
-        s1 = fam.sample(0, [[1.0, 1.0, 1.0, 1.0]], [-0.25])
-        s2 = fam.sample(1, other, np.full(len(other), -1.0 / 6.0))
+        r1 = enumerate_roots(fam.relation(0), [[1.0, 1.0, 1.0, 1.0]])
+        r2 = enumerate_roots(fam.relation(1), [[1.0, 1.0, 1.0, 1.0]])
+        s1 = fam.sample(0, [[1.0, 1.0, 1.0, 1.0]], r1.root, r1.deriv)
+        s2 = fam.sample(1, other, np.full(len(other), r2.root[0]),
+                        np.full(len(other), r2.deriv[0]))
         with pytest.raises(SuperposeError, match=message):
             superpose([s1, s2], [1.0, 1.0])
 
@@ -81,6 +97,104 @@ class TestSuperpose:
         rep_out = ghe_residual(out, fam.shared)
         rep_seed = ghe_residual(samples[0], fam.shared)
         assert rep_out.value == rep_seed.value
+
+
+def load(name, tmp_path):
+    """A shipped scenario, or call_one: one general_balanced seed whose Q
+    holds sin(y*p), a relation the scan cannot bound."""
+    if name != "call_one":
+        return load_scenario(SCENARIO_DIR / f"{name}.json")
+    raw = json.loads((SCENARIO_DIR / "general_balanced.json").read_text())
+    raw.update(seeds=raw["seeds"][:1], coefficients=[2.0])
+    raw["seeds"][0]["Q"] = "y^2/2 + y*p^2/2 + sin(y*p)/10"
+    path = tmp_path / "call_one.json"
+    path.write_text(json.dumps(raw))
+    return load_scenario(path)
+
+
+class TestOneDPerRoot:
+    """dPhi/dp is evaluated once at every root enumerate_roots gives; the
+    fold test, the implicit step and the complex-step oracle read that
+    value."""
+
+    @pytest.mark.parametrize("name", SHIPPED + ("call_one",))
+    def test_sample_keeps_the_root_table_D(self, name, tmp_path):
+        sc = load(name, tmp_path)
+        fam = sc.build_family()
+        cloud, _ = solve_point(fam, sc.points(count=400, seed=3), sc.policy)
+        pts = cloud.points[cloud.admissible]
+        assert len(pts) > 100
+        for i, s in enumerate(cloud.samples):
+            table = enumerate_roots(fam.relation(i), pts, sc.policy)
+            pick = table.select(sc.policy)
+            assert s.p.tobytes() == table.root[pick].tobytes()
+            assert s.Phi_p.tobytes() == table.deriv[pick].tobytes()
+            assert s.p_x.tobytes() == (-1.0 / s.Phi_p).tobytes()
+
+    @pytest.mark.parametrize("name", ["shock_n3", "general_balanced",
+                                      "call_one"])
+    def test_sample_and_oracle_call_no_dphi(self, name, tmp_path,
+                                            monkeypatch):
+        sc = load(name, tmp_path)
+        fam = sc.build_family()
+        cloud, _ = solve_point(fam, sc.points(count=300, seed=3), sc.policy)
+        certs = [certify_sample(s, fam, i) for i, s in
+                 enumerate(cloud.samples)]
+
+        def raising(*args):
+            raise AssertionError("dPhi/dp evaluated again")
+
+        monkeypatch.setattr(fam, "_relations", tuple(
+            dataclasses.replace(fam.relation(i), dphi=raising)
+            for i in range(fam.size)))
+        pts = cloud.points[cloud.admissible]
+        for i, s in enumerate(cloud.samples):
+            again = fam.sample(i, pts, s.p, s.Phi_p)
+            for field in dataclasses.fields(FieldSample):
+                assert getattr(again, field.name).tobytes() == \
+                    getattr(s, field.name).tobytes(), field.name
+            assert certify_sample(again, fam, i) == certs[i]
+
+    @pytest.mark.parametrize("name", SHIPPED + ("call_one",))
+    def test_one_dphi_lane_per_root(self, name, tmp_path, monkeypatch):
+        # the lanes evaluated outside Newton's steps, over the cloud solve,
+        # the samples and their certification
+        sc = load(name, tmp_path)
+        fam = sc.build_family()
+        counts = {"newton": 0, "outside": 0, "roots": 0}
+        newton = implicitsolve._newton
+
+        def in_newton(*args):
+            counts["newton"] += 1
+            try:
+                return newton(*args)
+            finally:
+                counts["newton"] -= 1
+
+        def counting(*args):
+            table = enumerate_roots(*args)
+            counts["roots"] += len(table)
+            return table
+
+        def wrap(dphi):
+            def lanes(*args):
+                if not counts["newton"]:
+                    counts["outside"] += np.broadcast(
+                        *map(np.asarray, args)).size
+                return dphi(*args)
+            return lanes
+
+        monkeypatch.setattr(fam, "_relations", tuple(
+            dataclasses.replace(fam.relation(i),
+                                dphi=wrap(fam.relation(i).dphi))
+            for i in range(fam.size)))
+        monkeypatch.setattr(implicitsolve, "_newton", in_newton)
+        monkeypatch.setattr(superpose_module, "enumerate_roots", counting)
+        cloud, _ = solve_point(fam, sc.points(count=300, seed=3), sc.policy)
+        for i, s in enumerate(cloud.samples):
+            certify_sample(s, fam, i)
+        assert counts["roots"] >= 300
+        assert counts["outside"] == counts["roots"]
 
 
 class TestVerifyTheorem:
