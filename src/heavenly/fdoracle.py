@@ -63,7 +63,11 @@ def partials(family, index: int, points, roots, D) -> np.ndarray:
 def certify_sample(sample: FieldSample, family, index: int) -> CertReport:
     """Compare every closed-form partial of a cloud sample of seed index
     against the oracle: the deviation is |oracle - analytic| / (1 +
-    |analytic|), and a lane with a non-finite oracle partial is a hole."""
+    |analytic|), and a lane with a non-finite oracle partial is a hole.
+    A sample without Phi_p, such as a superposed one, raises ValueError."""
+    if sample.Phi_p is None:
+        raise ValueError("certify_sample needs a seed sample: this one has "
+                         "no Phi_p (dPhi/dp at its roots)")
     n = len(as_cloud(sample.point))
     oracle = partials(family, index, sample.point, sample.p, sample.Phi_p)
     good = np.isfinite(oracle).all(axis=(0, 1))

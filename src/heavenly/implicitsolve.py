@@ -45,6 +45,12 @@ SCAN_ROOTS = 4           # coarse cells the scan tree starts from, a power of 2
 RELATION_VARIABLES = ("p", "x", "y", "z", "t")
 
 
+_BOUNDED = ("add", "sub", "mul", "div", "neg")
+# the program of a relation without a bound: a p-only leaf whose cell
+# bounds are nan, so every cell is kept
+_UNBOUNDED = ("row", lambda *args: math.nan)
+
+
 @dataclass(frozen=True)
 class ImplicitRelation:
     """Bundle of Phi, D = dPhi/dp and grad = (Phi_y, Phi_z, Phi_t) as
@@ -57,17 +63,17 @@ class ImplicitRelation:
     cell) pair against the (pairs, 1) columns of its point.  A result may
     be a Python float when the expression is constant, so callers broadcast.
 
-    expr is the Phi expression over RELATION_VARIABLES that the callables
-    were compiled from (see relation_from_expr), or None (and no grad) for
-    a relation built from callables alone, which the scan cannot bound.
+    program is the scan's bound program of Phi (see _split), built with
+    the callables by relation_from_expr.  A relation built from callables
+    alone has no grad and the _UNBOUNDED program: the scan keeps its cells.
     """
 
     phi: callable
     dphi: callable
     phi_vec: callable
-    expr: exprdsl.Expr | None = None
     grad: tuple | None = None
-    # the scan's bound program and cell bounds, built once per relation
+    program: tuple = _UNBOUNDED
+    # the program's cell bounds, built once per grid (see _cells)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -203,12 +209,13 @@ def _pick(root, first, counts, selection) -> np.ndarray:
 
 
 def relation_from_expr(expr: exprdsl.Expr) -> ImplicitRelation:
-    """phi, dphi, phi_vec and grad compiled from one Phi expression."""
+    """phi, dphi, phi_vec, grad and the scan's bound program, all compiled
+    from one Phi expression when the family is built."""
     phi = exprdsl.compile_expr(expr, RELATION_VARIABLES)
     dphi, *grad = (exprdsl.compile_expr(exprdsl.differentiate(expr, v),
                                         RELATION_VARIABLES) for v in "pyzt")
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi, expr=expr,
-                            grad=tuple(grad))
+    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi,
+                            grad=tuple(grad), program=_split(expr))
 
 
 def shock_relation(sdef, shared) -> ImplicitRelation:
@@ -225,12 +232,6 @@ def general_relation(gdef) -> ImplicitRelation:
     return relation_from_expr(exprdsl.add(exprdsl.add(exprdsl.add(
         exprdsl.var("x"), gdef.Q.partial(1, 0)), gdef.R.partial(1, 0)),
         gdef.T.expr))
-
-
-_BOUNDED = ("add", "sub", "mul", "div", "neg")
-# the program of a relation without a bound: a p-only leaf whose cell
-# bounds are nan, so every cell is kept
-_UNBOUNDED = ("row", lambda *args: math.nan)
 
 
 def _split(e: exprdsl.Expr):
@@ -357,29 +358,24 @@ def _kept(program, level, pairs, bits):
 
 
 def _cells(rel: ImplicitRelation, policy: BranchPolicy):
-    """Grid, nodes per coarse cell and bound program with the cell bounds
-    of its p-only leaves (see _on_cells).
+    """Grid, nodes per coarse cell and rel.program with the cell bounds of
+    its p-only leaves (see _on_cells).
 
     The scan tree starts from SCAN_ROOTS coarse cells of SCAN_LEAF
     intervals times the least power of two that lets them cover the grid;
-    a cell may run past the grid.  A relation built from callables alone
-    takes the _UNBOUNDED program.  Built once per relation and grid: each
+    a cell may run past the grid.  Built once per relation and grid: each
     p-only leaf keeps the two ends of every cell of every level, 16 KB at
     1 024 nodes.
     """
     key = (policy.p_lo, policy.p_hi, policy.resolution)
-    cache = rel._cache
-    if key not in cache:
-        if "split" not in cache:
-            cache["split"] = _UNBOUNDED if rel.expr is None \
-                else _split(rel.expr)
+    if key not in rel._cache:
         grid = np.linspace(policy.p_lo, policy.p_hi, policy.resolution)
         cell = SCAN_LEAF
         while cell * SCAN_ROOTS < len(grid) - 1:
             cell *= 2
-        cache[key] = grid, cell + 1, _on_cells(cache["split"], grid,
-                                               SCAN_ROOTS, cell + 1)
-    return cache[key]
+        rel._cache[key] = grid, cell + 1, _on_cells(rel.program, grid,
+                                                    SCAN_ROOTS, cell + 1)
+    return rel._cache[key]
 
 
 def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):

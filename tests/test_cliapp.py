@@ -14,6 +14,7 @@ from heavenly import calculus, exprdsl
 from heavenly.cliapp import (
     MAX_POINTS,
     MAX_RESOLUTION,
+    Scenario,
     ScenarioError,
     csv_header,
     load_scenario,
@@ -816,3 +817,38 @@ def test_balance_violate_with_one_seed_observes_nothing(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["result"]["reduced"]["count"] == 0
     assert payload["failures"] == ["expected balance violation not observed"]
+
+
+def _call_one(tmp_path):
+    """CI's call_one.json: general_balanced's first seed with sin(y*p) in Q,
+    a relation the scan cannot bound."""
+    raw = json.loads(Path(scenario_path("general_balanced")).read_text())
+    _one_seed(raw)
+    raw["seeds"][0]["Q"] = "y^2/2 + y*p^2/2 + sin(y*p)/10"
+    return write_scenario(tmp_path, raw, "call_one.json")
+
+
+@pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "general_balanced",
+                                  "general_unbalanced", "trivial_overlap",
+                                  "call_one"])
+def test_commands_compile_nothing_after_the_build(name, tmp_path,
+                                                  monkeypatch):
+    # the family's build compiles every expression a command evaluates,
+    # the scan's bound program included
+    path = _call_one(tmp_path) if name == "call_one" else scenario_path(name)
+    compile_expr = exprdsl.compile_expr
+    build = Scenario.build_family
+    calls = []
+
+    def counted_after_build(scenario):
+        family = build(scenario)
+        monkeypatch.setattr(exprdsl, "compile_expr",
+                            lambda *a: calls.append(a) or compile_expr(*a))
+        return family
+
+    monkeypatch.setattr(Scenario, "build_family", counted_after_build)
+    for command in ("verify", "balance", "sample", "fdcheck"):
+        monkeypatch.setattr(exprdsl, "compile_expr", compile_expr)
+        assert main([command, path, "--report", str(tmp_path / "r.json"),
+                     "--out", str(tmp_path / "sample.csv")]) == 0
+        assert calls == [], command

@@ -18,7 +18,7 @@ from heavenly.fdoracle import certify_sample
 from heavenly.implicitsolve import BranchPolicy, enumerate_roots, \
     solve_on_sheet
 from heavenly.registry import ShockFamily, ShockSolutionDef
-from heavenly.superpose import solve_point
+from heavenly.superpose import solve_point, superpose
 
 
 class TestFdPartial:
@@ -120,6 +120,17 @@ class TestCertifyCloud:
         for k, status in ((1, "ok"), (0, "hole")):
             assert certify_sample(take_lanes(sub, [k]), fam, 0).status \
                 == status
+
+    def test_sample_without_Phi_p_refused(self):
+        # a superposed sample keeps no dPhi/dp for the oracle's solve
+        fam, s = shock_cloud(5)
+        cert = certify_sample(s, fam, 0)
+        assert cert.certified == 5
+        with pytest.raises(ValueError, match="Phi_p"):
+            certify_sample(superpose([s], [2.0]), fam, 0)
+        with pytest.raises(ValueError, match="Phi_p"):
+            certify_sample(dataclasses.replace(s, Phi_p=None), fam, 0)
+        assert certify_sample(s, fam, 0) == cert
 
     def test_no_lane_gives_an_empty_report(self):
         # a slice with no admissible point

@@ -44,6 +44,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("shock_n2", "shock_n3", "general_unbalanced", "general_balanced",
            "trivial_overlap")
 KEYS = ("b_owner", "b_col", "b_flo", "z_owner", "z_col")
+BLOCK = SCAN_BUDGET // (4 * SCAN_ROOTS)     # rows of a _scan block
 
 
 def assert_same_scan(rel, pts, policy=BranchPolicy()):
@@ -62,10 +63,8 @@ def general(Q="0", R="0", T="p"):
         Q=sf(Q, ("p", "y")), R=sf(R, ("p", "z")), T=sf(T, ("p", "t"))))
 
 
-def bounded(rel, policy=BranchPolicy()):
-    with np.errstate(all="ignore"):
-        _cells(rel, policy)
-    return rel._cache["split"] is not _UNBOUNDED
+def bounded(rel):
+    return rel.program is not _UNBOUNDED
 
 
 def cloud(n=300, seed=4):
@@ -80,9 +79,21 @@ class TestSameBrackets:
         pts = sc.points(count=2000, seed=7)
         for i in range(fam.size):
             rel = fam.relation(i)
-            assert bounded(rel, sc.policy)
+            assert bounded(rel)
             found = assert_same_scan(rel, pts, sc.policy)
             assert len(found["b_owner"]) >= len(pts)
+
+    @pytest.mark.parametrize("name", ("shock_n3", "general_unbalanced"))
+    def test_clouds_past_one_block(self, name):
+        # two whole blocks and a partial third, so the row offsets of later
+        # blocks are compared too
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        fam = sc.build_family()
+        pts = sc.points(count=9000, seed=7)
+        assert 2 * BLOCK < len(pts) < 3 * BLOCK
+        for i in range(fam.size):
+            found = assert_same_scan(fam.relation(i), pts, sc.policy)
+            assert found["b_owner"][-1] >= 2 * BLOCK
 
     def test_acceptance_bank_families(self):
         rng = np.random.default_rng(20260823)
@@ -249,9 +260,10 @@ class TestCellWork:
         # Phi = x - cos(p): cos spans [-1, 1] on every coarse cell, so no
         # coarse bound clears, yet the split cells do and phi_vec only sees
         # leaves; several roots a point overflow one work item of pairs,
-        # and the cloud is more than one block
+        # and the cloud is more than one block of 4 096 rows
         rel = general(T="-cos(p)")
-        pts = cloud(2500)
+        pts = cloud(5000)
+        assert len(pts) > BLOCK
         program = _cells(rel, BranchPolicy())[2]
         coarse = np.arange(len(pts) * SCAN_ROOTS)
         with np.errstate(all="ignore"):
@@ -295,19 +307,19 @@ class TestCellWork:
             assert sum(n * k for n, k in shapes) <= 1.1 * len(pts) * 1024
 
     def test_bound_built_once_per_relation(self, monkeypatch):
-        rel = general(Q="y*p^2/2", T="p^3 - p")
-        pts = cloud(50)
-        first = _cells(rel, BranchPolicy())
+        # the program is compiled with the relation: a scan compiles nothing
         calls = []
         real = exprdsl.compile_expr
         monkeypatch.setattr(exprdsl, "compile_expr",
                             lambda *a: calls.append(a) or real(*a))
-        assert_same_scan(rel, pts)
+        rel = general(Q="y*p^2/2", T="p^3 - p")
+        built = len(calls)
+        first = _cells(rel, BranchPolicy())
+        assert_same_scan(rel, cloud(50))
         assert _cells(rel, BranchPolicy()) is first
-        assert calls == []
-        # another grid reuses the split, only the cell bounds are new
+        # another grid reuses the program, only the cell bounds are new
         _cells(rel, BranchPolicy(resolution=2048))
-        assert calls == []
+        assert len(calls) == built
 
     def test_cell_bounds_built_once_per_relation_and_grid(self, monkeypatch):
         # three slices of 4 096 rows: the bounds of each seed relation are
