@@ -70,6 +70,7 @@ class ResidualReport:
     scale: np.ndarray
 
     @property
+    @np.errstate(all="ignore")
     def normalized(self) -> np.ndarray:
         return abs(self.value) / (self.scale + NORM_GUARD)
 
@@ -183,13 +184,18 @@ def pairwise_balances(samples, shared) -> dict:
             for i in range(len(samples)) for j in range(i + 1, len(samples))}
 
 
-def n_term_balance(cross: dict, size) -> ResidualReport:
+@np.errstate(all="ignore")
+def n_term_balance(cross: dict, size, coeffs=None) -> ResidualReport:
     """Sum of the cross terms that pairwise_balances gives, over `size`
-    lanes; for two seeds this is pairwise_balance."""
+    lanes, each weighted by c_i c_j when coeffs are given: the part of the
+    superposed residual that the seeds' own residuals leave.  Scaled by
+    the largest |c_i c_j| times a term's scale; for two seeds without
+    coeffs this is pairwise_balance."""
     value = scale = np.zeros(size)
-    for rep in cross.values():
-        value = value + rep.value
-        scale = np.maximum(scale, rep.scale)
+    for (i, j), rep in cross.items():
+        w = 1.0 if coeffs is None else coeffs[i] * coeffs[j]
+        value = value + w * rep.value
+        scale = np.maximum(scale, abs(w) * rep.scale)
     return ResidualReport(value=value, scale=scale)
 
 

@@ -40,7 +40,7 @@ from .registry import FAMILIES, FamilyError, SharedProfile
 
 REPORT_SCHEMA_VERSION = 1
 MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
-MAX_RESOLUTION = 65536      # scan grid bound: scan blocks scale with it
+MAX_RESOLUTION = 65536      # scan grid bound: the scan's cells scale with it
 HALTON_BASES = (2, 3, 5, 7)  # the first four primes, one per axis x, y, z, t
 CSV_BLOCK = 256             # sample rows turned into Python floats at once
 

@@ -7,10 +7,11 @@ out of contract: where one is found, |D| < FOLD_TOL there and
 superpose.solve_point drops the point as a fold.
 
 The engine works on whole clouds: a point set is an (N, 4) array of
-(x, y, z, t) rows, the scan runs over fixed-size blocks of rows, and Newton
-runs over every bracket of every point at once.  A single point is read
-as a one-row cloud (see as_cloud), so every function returns the same type
-for it as for a cloud.
+(x, y, z, t) rows, the scan descends the cell tree with every row it is
+given at once, and Newton runs over every bracket of every point at once.
+The commands solve a cloud in slices of superpose.CLOUD_CHUNK rows.  A
+single point is read as a one-row cloud (see as_cloud), so every function
+returns the same type for it as for a cloud.
 
 The scan bounds Phi on a tree of grid cells (R. E. Moore, Interval
 Analysis, 1966): it starts from a few coarse cells, splits only the cells
@@ -36,9 +37,10 @@ TOL_ABS = 1e-12
 TOL_REL = 1e-12
 FOLD_TOL = 1e-3          # |D| below this: a fold, excluded from checks
 MAX_NEWTON_ITER = 100
-# Scan values alive at once, up to a small factor (see _scan): cells are
-# evaluated SCAN_BUDGET // (4 * nodes) at a time.  A constant, so results
-# never depend on the cloud size.
+# Scan values alive at once past the coarse bound, up to a small factor
+# (see _scan): cells are bounded SCAN_BUDGET // 8 and evaluated
+# SCAN_BUDGET // (4 * nodes) at a time.  A constant, so results never
+# depend on the cloud size.
 SCAN_BUDGET = 65536
 SCAN_LEAF = 2            # grid intervals per leaf cell of the scan tree
 SCAN_ROOTS = 4           # coarse cells the scan tree starts from, a power of 2
@@ -214,8 +216,10 @@ def relation_from_expr(expr: exprdsl.Expr) -> ImplicitRelation:
     phi = exprdsl.compile_expr(expr, RELATION_VARIABLES)
     dphi, *grad = (exprdsl.compile_expr(exprdsl.differentiate(expr, v),
                                         RELATION_VARIABLES) for v in "pyzt")
-    return ImplicitRelation(phi=phi, dphi=dphi, phi_vec=phi,
-                            grad=tuple(grad), program=_split(expr))
+    # an unbounded Phi compiles no leaf
+    return ImplicitRelation(
+        phi=phi, dphi=dphi, phi_vec=phi, grad=tuple(grad),
+        program=_split(expr) if _splits(expr) else _UNBOUNDED)
 
 
 def shock_relation(sdef, shared) -> ImplicitRelation:
@@ -234,23 +238,27 @@ def general_relation(gdef) -> ImplicitRelation:
         gdef.T.expr))
 
 
+def _splits(e: exprdsl.Expr) -> bool:
+    """Whether Phi has a bound program: no call or ^ between p and the
+    coordinates."""
+    names = exprdsl.free_variables(e)
+    return "p" not in names or names == {"p"} or (
+        e.kind in _BOUNDED and all(map(_splits, e.args)))
+
+
 def _split(e: exprdsl.Expr):
-    """The bound program of a Phi expression.
+    """The bound program of a Phi expression that _splits.
 
     Leaves are the maximal subtrees in p only ("row") and free of p
     ("col"), each compiled; the nodes between them are + - * / and
-    negation.  A call or ^ between them leaves Phi unbounded: its program
-    is _UNBOUNDED.
+    negation.
     """
     names = exprdsl.free_variables(e)
     if "p" not in names:
         return ("col", exprdsl.compile_expr(e, RELATION_VARIABLES))
     if names == {"p"}:
         return ("row", exprdsl.compile_expr(e, RELATION_VARIABLES))
-    if e.kind not in _BOUNDED:
-        return _UNBOUNDED
-    parts = [_split(a) for a in e.args]
-    return _UNBOUNDED if _UNBOUNDED in parts else (e.kind, *parts)
+    return (e.kind, *map(_split, e.args))
 
 
 def _on_cells(program, grid, roots, width):
@@ -284,9 +292,9 @@ def _level_bounds(node, grid, nodes, roots):
 
 
 def _on_block(node, cols):
-    """node with each col leaf replaced by its values on the block rows (a
-    constant stays a float) and their sign: 1 or -1 if every value has it,
-    else 0."""
+    """node with each col leaf replaced by its values on the scan's rows
+    (a constant stays a float) and their sign: 1 or -1 if every value has
+    it, else 0."""
     if node[0] == "col":
         v = node[1](None, *cols)
         if not isinstance(v, float):
@@ -300,7 +308,7 @@ def _on_block(node, cols):
 
 def _bound(node, level, owner, cell):
     """Lower and upper bounds of a program node on the cells of a tree
-    level: cell indexes the level's cells and owner the block rows.
+    level: cell indexes the level's cells and owner the scan's rows.
 
     Rounding to nearest is non-decreasing in each operand of + - * / and
     negation, so the bounds enclose the computed values; nan means none.
@@ -325,8 +333,8 @@ def _bound(node, level, owner, cell):
         return a_lo - b_hi, a_hi - b_lo
     op = operator.mul if kind == "mul" else operator.truediv
     if b[0] == "col" and b[2]:
-        # a col leaf of one sign on the block keeps the ends in order or
-        # swaps them
+        # a col leaf of one sign on the scan's rows keeps the ends in order
+        # or swaps them
         lo, hi = op(a_lo, b_lo), op(a_hi, b_lo)
         return (lo, hi) if b[2] > 0 else (hi, lo)
     # a col leaf is a point (lo is hi): its two corners are all four
@@ -381,91 +389,76 @@ def _cells(rel: ImplicitRelation, policy: BranchPolicy):
 def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     """Sign-change brackets and exact grid zeros of Phi, on a cell tree.
 
-    Each block of rows starts from the coarse cells.  A cell whose bound is
-    strictly positive or strictly negative is cleared; the others are split
-    in two, down to cells of SCAN_LEAF intervals, or until a split clears
-    less than a quarter of the children (a bound too loose to gain from
-    narrower cells).  phi_vec then runs on the grid nodes of the surviving
-    cells of a work item at once.  The nan bounds of an unbounded relation
-    clear nothing, so its descent stops after the first split.
+    The rows given descend the tree together, one level at a time, from the
+    coarse cells.  A cell whose bound is strictly positive or strictly
+    negative is cleared; the others are split in two, down to cells of
+    SCAN_LEAF intervals, or until a split clears less than a quarter of the
+    children (a bound too loose to gain from narrower cells).  phi_vec then
+    runs on the grid nodes of the surviving cells.  The nan bounds of an
+    unbounded relation clear nothing, so its descent stops after the first
+    split.
     """
     grid, width, program = _cells(rel, policy)
     last = len(grid) - 1
     depth = (width - 1).bit_length() - SCAN_LEAF.bit_length()
     # a (row, cell) pair of a tree level is row << (shift + level) | cell
     shift = (SCAN_ROOTS - 1).bit_length()
+    # working memory follows the rows given: the coarse bound keeps about
+    # eight arrays of SCAN_ROOTS pairs a row alive
+    tree = _on_block(program, pts.T)
+    # every row's coarse cells bound as one (rows, SCAN_ROOTS) broadcast
+    need = _may_hold_zero(*_bound(tree, 0, np.s_[:, None], np.s_[None, :]))
+    pairs = np.flatnonzero(np.broadcast_to(need, (len(pts), SCAN_ROOTS)))
+    level = 0
+    while level < depth:
+        level += 1
+        children = np.repeat(pairs << 1, 2)
+        children[1::2] += 1
+        pairs = _kept(tree, level, children, shift + level)
+        # a split that clears a quarter of the children, and keeps some,
+        # pays for the next
+        if not 0 < 4 * len(pairs) <= 3 * len(children):
+            break
+
+    step = (width - 1) >> level
     # nodes past the grid are evaluated but never reported
     padded = np.r_[grid, np.full(SCAN_ROOTS * (width - 1) + 1 - len(grid),
                                  np.nan)]
-    # A block is one slice of the cloud (CLOUD_CHUNK rows), so a slice
-    # descends the tree once.  The coarse bound of a block and a later
-    # bound call keep about eight arrays of their SCAN_BUDGET // 4 and
-    # SCAN_BUDGET // 8 pairs alive.  An evaluated chunk holds its gathered
-    # nodes, their phi_vec values and products and phi_vec's temporaries, a
-    # quarter of SCAN_BUDGET each.
-    rows = SCAN_BUDGET // (4 * SCAN_ROOTS)
-    item = rows * SCAN_ROOTS    # pairs of a work item, at most
-    # typed empty entries: a cloud whose cells are all cleared finds none
+    # the nodes of every cell of the level, one row each
+    windows = np.lib.stride_tricks.sliding_window_view(padded,
+                                                       step + 1)[::step]
+    chunk = max(1, SCAN_BUDGET // (4 * (step + 1)))
+    bits = shift + level
+    # typed empty entries: rows whose cells are all cleared find none
     found = {k: [np.zeros(0, dtype=float if k == "b_flo" else np.intp)]
              for k in ("b_owner", "b_col", "b_flo", "z_owner", "z_col")}
-
-    def evaluate(block, start, level, pairs):
-        step = (width - 1) >> level
-        # the nodes of every cell of the level, one row each
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, step + 1)[::step]
-        chunk = max(1, SCAN_BUDGET // (4 * (step + 1)))
-        bits = shift + level
-        for c0 in range(0, len(pairs), chunk):
-            owner = pairs[c0:c0 + chunk] >> bits
-            cell = pairs[c0:c0 + chunk] & ((1 << bits) - 1)
-            sub = block[owner]
-            vals = np.broadcast_to(np.asarray(rel.phi_vec(
-                windows[cell], *(sub[:, k:k + 1] for k in range(4))),
-                dtype=float), (len(owner), step + 1))
-            finite = np.isfinite(vals)
-            change = vals[:, :-1] * vals[:, 1:] < 0.0
-            if not finite.all():
-                change &= finite[:, :-1] & finite[:, 1:]
-            i, j = np.divmod(np.flatnonzero(change), step)
+    # children of ascending pairs ascend, so the results come by row, then
+    # by node: the order of a scan over every node
+    for c0 in range(0, len(pairs), chunk):
+        owner = pairs[c0:c0 + chunk] >> bits
+        cell = pairs[c0:c0 + chunk] & ((1 << bits) - 1)
+        sub = pts[owner]
+        vals = np.broadcast_to(np.asarray(rel.phi_vec(
+            windows[cell], *(sub[:, k:k + 1] for k in range(4))),
+            dtype=float), (len(owner), step + 1))
+        finite = np.isfinite(vals)
+        change = vals[:, :-1] * vals[:, 1:] < 0.0
+        if not finite.all():
+            change &= finite[:, :-1] & finite[:, 1:]
+        i, j = np.divmod(np.flatnonzero(change), step)
+        node = cell[i] * step + j
+        keep = node < last
+        found["b_owner"].append(owner[i][keep])
+        found["b_col"].append(node[keep])
+        found["b_flo"].append(vals[i[keep], j[keep]])
+        zero = vals == 0.0
+        if zero.any():
+            i, j = np.divmod(np.flatnonzero(zero), step + 1)
             node = cell[i] * step + j
-            keep = node < last
-            found["b_owner"].append(owner[i][keep] + start)
-            found["b_col"].append(node[keep])
-            found["b_flo"].append(vals[i[keep], j[keep]])
-            zero = vals == 0.0
-            if zero.any():
-                i, j = np.divmod(np.flatnonzero(zero), step + 1)
-                node = cell[i] * step + j
-                # a node two cells share counts in the cell it starts
-                once = (node == last) | ((j < step) & (node < last))
-                found["z_owner"].append(owner[i][once] + start)
-                found["z_col"].append(node[once])
-
-    for start in range(0, len(pts), rows):
-        block = pts[start:start + rows]
-        tree = _on_block(program, block.T)
-        # every row's coarse cells bound as one (rows, SCAN_ROOTS) broadcast
-        need = _may_hold_zero(*_bound(tree, 0, np.s_[:, None],
-                                      np.s_[None, :]))
-        work = [(0, np.flatnonzero(np.broadcast_to(
-            need, (len(block), SCAN_ROOTS))))]
-        while work:
-            level, pairs = work.pop()
-            if level < depth:
-                level += 1
-                children = np.repeat(pairs << 1, 2)
-                children[1::2] += 1
-                pairs = _kept(tree, level, children, shift + level)
-                # a split that clears a quarter of the children pays
-                if level < depth and 4 * len(pairs) <= 3 * len(children):
-                    # the first item pops first, so cells run in pair order
-                    work.extend((level, pairs[c:c + item]) for c in
-                                reversed(range(0, len(pairs), item)))
-                    continue
-            evaluate(block, start, level, pairs)
-    # blocks, work items and cells in ascending order leave the results by
-    # row, then by node: the order of a scan over every node
+            # a node two cells share counts in the cell it starts
+            once = (node == last) | ((j < step) & (node < last))
+            found["z_owner"].append(owner[i][once])
+            found["z_col"].append(node[once])
     return grid, {k: np.concatenate(v) for k, v in found.items()}
 
 

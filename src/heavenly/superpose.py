@@ -35,10 +35,10 @@ from .implicitsolve import (
 
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
-# Cloud rows solved at a time: one scan block of 4 096 rows (`rows` in
-# implicitsolve._scan), and the lanes of each of fdoracle's four on-sheet
-# solves.  Every per-point result is computed row by row, so no result
-# depends on it.
+# Cloud rows solved at a time, 4 096: the rows the root scan descends
+# together, and the lanes of each of fdoracle's four on-sheet solves.
+# Every per-point result is computed row by row, so no result depends on
+# it.
 CLOUD_CHUNK = SCAN_BUDGET // 16
 
 
@@ -193,7 +193,7 @@ def theorem_checks(samples, shared, coeffs):
     compatibility residual of each seed or of the superposed sample."""
     seed_reps = [ghe_residual(s, shared) for s in samples]
     cross = pairwise_balances(samples, shared)
-    bal = n_term_balance(cross, len(samples[0].p))
+    bal = n_term_balance(cross, len(samples[0].p), coeffs)
     sup = superpose(samples, coeffs)
     sup_rep = ghe_residual(sup, shared)
     return sup, {

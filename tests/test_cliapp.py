@@ -541,6 +541,26 @@ def test_violate_control_tells_a_bracket_orientation(term, tmp_path,
     assert "expected violation not observed" in capsys.readouterr().out
 
 
+def test_verify_weights_each_cross_term_by_its_coefficients(tmp_path):
+    # README "Reading a verdict": three general seeds on general_unbalanced's
+    # box, coefficients (1, 1, -1).  No pair balances, yet the weighted sum
+    # c_1 c_2 B_12 + c_1 c_3 B_13 + c_2 c_3 B_23 cancels and the
+    # superposition holds; the unweighted sum reads 8.25
+    raw = json.loads(Path(scenario_path("general_unbalanced")).read_text())
+    raw["seeds"].append({"Q": "p^2*y/2 + y^2", "R": "p^2*z/2", "T": "p*t"})
+    raw.update(coefficients=[1.0, 1.0, -1.0], expect="satisfy")
+    path = write_scenario(tmp_path, raw, "three_seeds.json")
+    report = tmp_path / "r.json"
+    assert main(["verify", path, "--report", str(report)]) == 0
+    checks = json.loads(report.read_text())["report"]["checks"]
+    assert checks["n_term_balance"]["count"] == 400
+    assert checks["n_term_balance"]["max"] < 1e-15
+    # balance checks the pairs themselves: each fails, and so does their
+    # unweighted sum
+    assert main(["balance", path, "--report", str(report)]) == 1
+    assert json.loads(report.read_text())["result"]["n_term"]["max"] > 8.0
+
+
 class TestNanFails:
     """A check whose maximum or median is nan could not be computed: it
     fails, and the run prints no floating-point warning."""

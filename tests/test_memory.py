@@ -22,10 +22,12 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import heavenly
 from heavenly.cliapp import cmd_sample, load_scenario
+from heavenly.implicitsolve import enumerate_roots
 from heavenly.superpose import verify_theorem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +51,18 @@ def test_verify_theorem_peak():
     peak = _peak(lambda: verify_theorem(family, sc.coefficients, points,
                                         policy=sc.policy))
     assert peak < 20 * MB
+
+
+def test_enumerate_roots_peak_past_one_slice():
+    # the scan descends every row it is given at once; on 20 000 rows,
+    # about five CLOUD_CHUNK slices, the peak (5.7 MB) is set by Newton's
+    # arrays per bracket, and the scan's own peak is 2.8 MB
+    sc = load_scenario(ROOT / "scenarios" / "shock_n3.json")
+    rel = sc.build_family().relation(0)
+    points = sc.points(count=20_000, seed=0)
+    with np.errstate(all="ignore"):
+        peak = _peak(lambda: enumerate_roots(rel, points, sc.policy))
+    assert peak < 8 * MB
 
 
 def _sample_peak(tmp_path, count) -> float:

@@ -38,13 +38,12 @@ from heavenly.registry import (
     SharedProfile,
     ShockSolutionDef,
 )
-from heavenly.superpose import solve_chunks
+from heavenly.superpose import CLOUD_CHUNK, solve_chunks
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("shock_n2", "shock_n3", "general_unbalanced", "general_balanced",
            "trivial_overlap")
 KEYS = ("b_owner", "b_col", "b_flo", "z_owner", "z_col")
-BLOCK = SCAN_BUDGET // (4 * SCAN_ROOTS)     # rows of a _scan block
 
 
 def assert_same_scan(rel, pts, policy=BranchPolicy()):
@@ -85,15 +84,15 @@ class TestSameBrackets:
 
     @pytest.mark.parametrize("name", ("shock_n3", "general_unbalanced"))
     def test_clouds_past_one_block(self, name):
-        # two whole blocks and a partial third, so the row offsets of later
-        # blocks are compared too
+        # two whole CLOUD_CHUNK slices and a partial third, taken by the
+        # scan as one, so rows past the first slices are compared too
         sc = load_scenario(SCENARIO_DIR / f"{name}.json")
         fam = sc.build_family()
         pts = sc.points(count=9000, seed=7)
-        assert 2 * BLOCK < len(pts) < 3 * BLOCK
+        assert 2 * CLOUD_CHUNK < len(pts) < 3 * CLOUD_CHUNK
         for i in range(fam.size):
             found = assert_same_scan(fam.relation(i), pts, sc.policy)
-            assert found["b_owner"][-1] >= 2 * BLOCK
+            assert found["b_owner"][-1] >= 2 * CLOUD_CHUNK
 
     def test_acceptance_bank_families(self):
         rng = np.random.default_rng(20260823)
@@ -259,11 +258,11 @@ class TestCellWork:
     def test_coarse_cells_all_held_leaves_cleared(self):
         # Phi = x - cos(p): cos spans [-1, 1] on every coarse cell, so no
         # coarse bound clears, yet the split cells do and phi_vec only sees
-        # leaves; several roots a point overflow one work item of pairs,
-        # and the cloud is more than one block of 4 096 rows
+        # leaves; several roots a point give more pairs than one bound call
+        # takes, and the cloud is more than one CLOUD_CHUNK slice
         rel = general(T="-cos(p)")
         pts = cloud(5000)
-        assert len(pts) > BLOCK
+        assert len(pts) > CLOUD_CHUNK
         program = _cells(rel, BranchPolicy())[2]
         coarse = np.arange(len(pts) * SCAN_ROOTS)
         with np.errstate(all="ignore"):
@@ -320,6 +319,23 @@ class TestCellWork:
         # another grid reuses the program, only the cell bounds are new
         _cells(rel, BranchPolicy(resolution=2048))
         assert len(calls) == built
+
+    def test_unbounded_relation_compiles_no_leaf(self, monkeypatch):
+        # CI's call_one relation: sin(y*p) leaves Phi unbounded, so its
+        # build compiles phi, dphi and grad and no leaf of a program it
+        # would drop
+        calls = []
+        real = exprdsl.compile_expr
+        monkeypatch.setattr(exprdsl, "compile_expr",
+                            lambda *a: calls.append(a) or real(*a))
+        rel = general(Q="y^2/2 + y*p^2/2 + sin(y*p)/10", R="z*p^2/2",
+                      T="t*p + p")
+        assert rel.program is _UNBOUNDED
+        assert len(calls) == 5
+        # without the call the same relation compiles its leaves too
+        calls.clear()
+        assert bounded(general(Q="y^2/2 + y*p^2/2", R="z*p^2/2", T="t*p + p"))
+        assert len(calls) > 5
 
     def test_cell_bounds_built_once_per_relation_and_grid(self, monkeypatch):
         # three slices of 4 096 rows: the bounds of each seed relation are
