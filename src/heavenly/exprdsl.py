@@ -188,17 +188,13 @@ def _tokenize(source: str):
             continue
         if c.isdigit() or c == ".":
             j = i
-            seen_exp = False
             while j < n:
                 cj = source[j]
                 if cj.isdigit() or cj == ".":
                     j += 1
                 elif cj in "eE" and j + 1 < n and (source[j + 1].isdigit()
                                                    or source[j + 1] in "+-"):
-                    seen_exp = True
                     j += 2
-                elif seen_exp and cj.isdigit():
-                    j += 1
                 else:
                     break
             text = source[i:j]

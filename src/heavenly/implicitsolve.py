@@ -349,9 +349,14 @@ def _bound(node, level, owner, cell):
     return lo, hi
 
 
-def _may_hold_zero(lo, hi):
-    # nan fails both tests, so an unbounded cell is kept
-    return np.logical_not((lo > 0.0) | (hi < 0.0))
+def _uncleared(lo, hi, shape):
+    """Flat indices, in an array of shape, of the cells whose bound may
+    hold 0.  A bound of one number (a constant Phi) holds for every cell;
+    nan fails both tests, so an unbounded cell is kept."""
+    keep = np.logical_not((lo > 0.0) | (hi < 0.0))
+    if keep.shape != shape:
+        keep = np.broadcast_to(keep, shape)
+    return np.flatnonzero(keep)
 
 
 def _kept(program, level, pairs, bits):
@@ -360,8 +365,9 @@ def _kept(program, level, pairs, bits):
     kept = []
     for c in range(0, max(len(pairs), 1), SCAN_BUDGET // 8):
         part = pairs[c:c + SCAN_BUDGET // 8]
-        kept.append(part[np.flatnonzero(_may_hold_zero(*_bound(
-            program, level, part >> bits, part & ((1 << bits) - 1))))])
+        kept.append(part[_uncleared(*_bound(
+            program, level, part >> bits, part & ((1 << bits) - 1)),
+            part.shape)])
     return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
@@ -407,8 +413,8 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
     # eight arrays of SCAN_ROOTS pairs a row alive
     tree = _on_block(program, pts.T)
     # every row's coarse cells bound as one (rows, SCAN_ROOTS) broadcast
-    need = _may_hold_zero(*_bound(tree, 0, np.s_[:, None], np.s_[None, :]))
-    pairs = np.flatnonzero(np.broadcast_to(need, (len(pts), SCAN_ROOTS)))
+    pairs = _uncleared(*_bound(tree, 0, np.s_[:, None], np.s_[None, :]),
+                           (len(pts), SCAN_ROOTS))
     level = 0
     while level < depth:
         level += 1
@@ -455,8 +461,9 @@ def _scan(rel: ImplicitRelation, pts: np.ndarray, policy: BranchPolicy):
         if zero.any():
             i, j = np.divmod(np.flatnonzero(zero), step + 1)
             node = cell[i] * step + j
-            # a node two cells share counts in the cell it starts
-            once = (node == last) | ((j < step) & (node < last))
+            # a node two cells share counts in the cell it starts; the
+            # tree's last node starts none
+            once = (node <= last) & ((j < step) | (node == len(padded) - 1))
             found["z_owner"].append(owner[i][once])
             found["z_col"].append(node[once])
     return grid, {k: np.concatenate(v) for k, v in found.items()}

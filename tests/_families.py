@@ -1,6 +1,8 @@
 """Shared builders for tests: canonical fixtures and randomized families."""
 
 import numpy as np
+from hypothesis import reject
+from hypothesis import strategies as st
 
 from heavenly import exprdsl
 from heavenly.calculus import FIELD_NAMES, FieldSample
@@ -17,6 +19,9 @@ from heavenly.registry import (
 Y_POOL = ("0", "y", "y^2/2", "sin(y)", "tanh(y)", "y + sin(y)/2")
 Z_POOL = ("0", "z", "z^2/2", "sin(z)", "tanh(z)", "z + cos(z)/2")
 T_POOL = ("t", "sin(t)", "t^2/4", "tanh(t)", "t/2 + 1")
+# polynomial m and n, which shock_def_as_general can embed
+Y_POLYNOMIALS = ("0", "y", "y^2/2", "y^3/3 - y")
+Z_POLYNOMIALS = ("0", "z", "z^2/2", "z^3/6 + z")
 
 BOX_LOWS = (-1.0, 0.5, 0.5, 0.5)
 BOX_HIGHS = (1.0, 1.5, 1.5, 1.5)
@@ -71,8 +76,9 @@ def random_polynomial(var, degree, rng, scale=0.5):
     return " + ".join(terms)
 
 
-def random_shock_family(rng, n_seeds):
-    """Random shock family with polynomial F, G of degree <= 4.
+def random_shock_family(rng, n_seeds, m_pool=Y_POOL, n_pool=Z_POOL):
+    """Random shock family with polynomial F, G of degree <= 4, and m and
+    n drawn from m_pool and n_pool.
 
     G carries a dominant cubic term so the relation always crosses zero
     on the default scan interval for box-scale coordinates.
@@ -90,13 +96,47 @@ def random_shock_family(rng, n_seeds):
         defs.append(ShockSolutionDef(
             F=sf(random_polynomial("p", 4, rng), ("p",)),
             G=sf(G, ("p",)),
-            m=sf(str(rng.choice(Y_POOL)), ("y",)),
-            n=sf(str(rng.choice(Z_POOL)), ("z",))))
+            m=sf(str(rng.choice(m_pool)), ("y",)),
+            n=sf(str(rng.choice(n_pool)), ("z",))))
     return ShockFamily(defs, shared)
 
 
 def halton_cloud(count, seed):
     return scrambled_halton(count, seed, BOX_LOWS, BOX_HIGHS)
+
+
+# a node is a leaf with probability 2/9 below the bound, so trees of every
+# depth up to it are drawn
+_NODES = ("leaf", "leaf", "neg", "call", "add", "sub", "mul", "div", "pow")
+_BINARY = {"add": exprdsl.add, "sub": exprdsl.sub, "mul": exprdsl.mul,
+           "div": exprdsl.div, "pow": exprdsl.pow_}
+TREE_CONSTANTS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def expr_trees(draw, variables, depth):
+    """Expression trees of depth <= depth over variables and
+    TREE_CONSTANTS, with + - * / ^, negation and the six calls.
+
+    The exprdsl constructors build them, so constants fold as in a parsed
+    source; a tree that folds to a non-finite constant is rejected.
+    """
+    kind = draw(st.sampled_from(_NODES[:1] if depth == 0 else _NODES))
+    if kind == "leaf":
+        if draw(st.booleans()):
+            return exprdsl.var(draw(st.sampled_from(variables)))
+        return exprdsl.const(draw(st.sampled_from(TREE_CONSTANTS)))
+    args = [draw(expr_trees(variables, depth - 1))
+            for _ in range(1 if kind in ("neg", "call") else 2)]
+    try:
+        if kind == "neg":
+            return exprdsl.neg(*args)
+        if kind == "call":
+            return exprdsl.call(draw(st.sampled_from(exprdsl.FUNCTIONS)),
+                                *args)
+        return _BINARY[kind](*args)
+    except ExprError:
+        reject()
 
 
 # ---------------------------------------------------------------------------

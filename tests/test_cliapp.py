@@ -29,6 +29,8 @@ from test_golden import CASES
 
 GOLDEN = {case["name"]: case for case in CASES}
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("shock_n2", "shock_n3", "general_unbalanced", "general_balanced",
+           "trivial_overlap")
 
 
 def scenario_path(name):
@@ -54,8 +56,7 @@ BASE = {
 
 class TestLoadScenario:
     def test_shipped_scenarios_load(self):
-        for name in ("shock_n2", "shock_n3", "general_unbalanced",
-                     "general_balanced", "trivial_overlap"):
+        for name in SHIPPED:
             sc = load_scenario(scenario_path(name))
             assert sc.build_family().size == len(sc.coefficients)
 
@@ -728,7 +729,7 @@ def _positive_x(raw):
      (152, 0, 324)),
     ({"Q": "y^2/2 + y*sqrt(p + 11)", "T": "log(p + 11) + t*p"}, None,
      (800, 0, 0)),
-    # a call between p and y, as CI's call_one.json
+    # a call between p and y, as in call_one (see _call_one)
     ({"Q": "y^2/2 + y*p^2/2 + sin(y*p)/10"}, _one_seed, (400, 0, 0)),
     # p^5 compiles to ** and x > 0 puts every root below 0
     ({"T": "t*p + p + p^5"}, _positive_x, (800, 0, 0)),
@@ -812,6 +813,23 @@ def test_balance_checks_the_reduced_condition_on_shock_seeds(name, tmp_path,
     assert result["reduced"]["max"] <= 1e-15
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_balance_and_fdcheck_cover_every_pair_and_seed(name, tmp_path,
+                                                       capsys):
+    # at shipped size: balance reads a reduced term wherever it reads a
+    # pairwise one, and fdcheck writes one deviation table per seed
+    seeds = len(json.loads(Path(scenario_path(name)).read_text())["seeds"])
+    balance, fdcheck = tmp_path / "balance.json", tmp_path / "fdcheck.json"
+    assert main(["balance", scenario_path(name), "--report",
+                 str(balance)]) == 0
+    assert main(["fdcheck", scenario_path(name), "--report",
+                 str(fdcheck)]) == 0
+    result = json.loads(balance.read_text())["result"]
+    assert result["reduced"]["count"] == result["pairwise"]["count"] > 0
+    assert len(json.loads(fdcheck.read_text())["result"]["deviations"]) == \
+        seeds
+
+
 def test_fdcheck_reports_each_seeds_deviations(tmp_path, capsys):
     # 4 100 points are two slices; each seed's entry folds both of them
     sc = load_scenario(scenario_path("shock_n3"))
@@ -840,21 +858,20 @@ def test_balance_violate_with_one_seed_observes_nothing(tmp_path, capsys):
 
 
 def _call_one(tmp_path):
-    """CI's call_one.json: general_balanced's first seed with sin(y*p) in Q,
-    a relation the scan cannot bound."""
+    """call_one.json: general_balanced's first seed with sin(y*p) in Q, a
+    relation the scan cannot bound."""
     raw = json.loads(Path(scenario_path("general_balanced")).read_text())
     _one_seed(raw)
     raw["seeds"][0]["Q"] = "y^2/2 + y*p^2/2 + sin(y*p)/10"
     return write_scenario(tmp_path, raw, "call_one.json")
 
 
-@pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "general_balanced",
-                                  "general_unbalanced", "trivial_overlap",
-                                  "call_one"])
+@pytest.mark.parametrize("name", SHIPPED + ("call_one",))
 def test_commands_compile_nothing_after_the_build(name, tmp_path,
                                                   monkeypatch):
     # the family's build compiles every expression a command evaluates,
-    # the scan's bound program included
+    # the scan's bound program included; every command exits 0, and a
+    # RuntimeWarning fails the test (see pyproject.toml)
     path = _call_one(tmp_path) if name == "call_one" else scenario_path(name)
     compile_expr = exprdsl.compile_expr
     build = Scenario.build_family

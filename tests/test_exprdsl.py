@@ -108,6 +108,21 @@ class TestParse:
     def test_scientific_literals(self):
         assert evaluate(parse("1e-2 + p", ["p"]), {"p": 0.0}) == 0.01
 
+    @pytest.mark.parametrize("source, value", [
+        ("2.5e-3", 2.5e-3), ("1E+2", 100.0), (".5", 0.5), ("3.", 3.0)])
+    def test_numeric_literals(self, source, value):
+        assert parse(source, ["p"]) == Expr("const", value)
+
+    @pytest.mark.parametrize("source, message, offset", [
+        ("1.2.3", "malformed number '1.2.3'", 0),
+        ("1e5e3", "malformed number '1e5e3'", 0),
+        # an e with no digits after it ends the number
+        ("2e", "unexpected token 'e'", 1)])
+    def test_malformed_numeric_literals(self, source, message, offset):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse(source, ["p"])
+        assert exc.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("p) + 2", ["p"])

@@ -1,13 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from _families import halton_cloud, polynomial_antiderivative, \
-    quadratic_shock_def, second_shock_def, sf, shock_def_as_general, \
+from _families import BOX_HIGHS, BOX_LOWS, Y_POLYNOMIALS, Z_POLYNOMIALS, \
+    halton_cloud, polynomial_antiderivative, quadratic_shock_def, \
+    random_shock_family, second_shock_def, sf, shock_def_as_general, \
     simple_shared
 from heavenly import cliapp
-from heavenly.exprdsl import ExprError, evaluate
+from heavenly.exprdsl import ExprError, evaluate, to_source
 from heavenly.implicitsolve import enumerate_roots
 from heavenly.registry import (
     FamilyError,
@@ -17,7 +19,7 @@ from heavenly.registry import (
     ShockFamily,
     ShockSolutionDef,
 )
-from heavenly.superpose import verify_theorem
+from heavenly.superpose import solve_point, verify_theorem
 
 
 class TestSharedProfile:
@@ -216,3 +218,44 @@ class TestShockGeneralEmbedding:
             _, q2, rr2 = general_fam.values(0, point, r2[0].root)
             assert q1 == pytest.approx(q2, rel=1e-10)
             assert rr1 == pytest.approx(rr2, rel=1e-10)
+
+    @pytest.mark.parametrize("draw", range(15))
+    def test_random_twins_pass_verify_and_balance(self, draw, tmp_path,
+                                                  capsys):
+        # a random shock family and its general-form twin both pass every
+        # gate of verify and balance, and find the same roots
+        rng = np.random.default_rng(20261021 + draw)
+        family = random_shock_family(rng, 2 + draw % 2, Y_POLYNOMIALS,
+                                     Z_POLYNOMIALS)
+        shared = family.shared
+        twin = [shock_def_as_general(d, shared) for d in family.defs]
+        base = {
+            "constants": {"a": shared.a, "b": shared.b},
+            "shared": {k: to_source(getattr(shared, k).expr)
+                       for k in ("alpha", "beta", "delta")},
+            "coefficients": rng.uniform(-3.0, 3.0, family.size).tolist(),
+            "sampling": {"box": {axis: [lo, hi] for axis, lo, hi
+                                 in zip("xyzt", BOX_LOWS, BOX_HIGHS)},
+                         "count": 60, "seed": draw}}
+        clouds = []
+        for kind, defs, fields in (("shock", family.defs, "FGmn"),
+                                   ("general", twin, "QRT")):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(dict(
+                base, family=kind,
+                seeds=[{f: to_source(getattr(d, f).expr) for f in fields}
+                       for d in defs])))
+            for command in ("verify", "balance"):
+                assert cliapp.main([command, str(path), "--report",
+                                    str(tmp_path / "r.json")]) == 0, \
+                    (kind, command)
+            sc = cliapp.load_scenario(path)
+            clouds.append(solve_point(sc.build_family(), sc.points(),
+                                      sc.policy)[0])
+        shock, general = clouds
+        _, i, j = np.intersect1d(shock.admissible, general.admissible,
+                                 return_indices=True)
+        assert len(i) > 0
+        for s, g in zip(shock.samples, general.samples):
+            assert np.all(np.abs(s.p[i] - g.p[j])
+                          <= 1e-9 * (1.0 + np.abs(s.p[i])))

@@ -9,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from _families import halton_cloud, random_shock_family, sf, \
+from _families import expr_trees, halton_cloud, random_shock_family, sf, \
     shock_def_as_general
 from _scan_reference import full_newton, full_scan
 from heavenly import exprdsl, implicitsolve
 from heavenly.cliapp import load_scenario
 from heavenly.implicitsolve import (
     MAX_NEWTON_ITER,
+    RELATION_VARIABLES,
     SCAN_BUDGET,
     SCAN_LEAF,
     SCAN_ROOTS,
@@ -206,6 +209,35 @@ class TestSameBrackets:
             for pts in clouds:
                 assert_same_scan(rel, pts, BranchPolicy(p_lo=-3.0, p_hi=3.0))
 
+    # coordinates of box scale, and those that overflow or are not finite
+    COORDINATES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+        (0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan)))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tree=expr_trees(RELATION_VARIABLES, 4),
+           rows=st.lists(st.tuples(*[COORDINATES] * 4), min_size=1,
+                         max_size=12),
+           p_lo=st.floats(-20.0, 20.0),
+           width=st.sampled_from((1e-6, 0.5, 3.0, 20.0)),
+           resolution=st.integers(16, 300))
+    # a constant Phi: a bound of one number keeps every cell or none
+    @example(tree=exprdsl.const(0.0), rows=[(0.0, 0.0, 0.0, 0.0)] * 2,
+             p_lo=-1.0, width=2.0, resolution=16)
+    @example(tree=exprdsl.const(-0.0), rows=[(0.5, 1.0, 1.0, 1.0)],
+             p_lo=-10.0, width=20.0, resolution=1024)
+    # a zero on the grid's last node, where a cell past the grid starts
+    @example(tree=exprdsl.add(exprdsl.var("x"), exprdsl.var("p")),
+             rows=[(-1.0, 0.0, 0.0, 0.0)], p_lo=-1.0, width=2.0,
+             resolution=25)
+    def test_random_relation_trees(self, tree, rows, p_lo, width,
+                                   resolution):
+        try:
+            rel = relation_from_expr(tree)
+        except exprdsl.ExprError:
+            reject()
+        assert_same_scan(rel, np.array(rows),
+                         BranchPolicy(p_lo, p_lo + width, resolution))
+
     def test_one_row_clouds(self):
         rel = general(Q="y*p^2/2", T="p^3 - p")
         for row in cloud(25):
@@ -321,7 +353,7 @@ class TestCellWork:
         assert len(calls) == built
 
     def test_unbounded_relation_compiles_no_leaf(self, monkeypatch):
-        # CI's call_one relation: sin(y*p) leaves Phi unbounded, so its
+        # call_one's relation: sin(y*p) leaves Phi unbounded, so its
         # build compiles phi, dphi and grad and no leaf of a program it
         # would drop
         calls = []

@@ -1,10 +1,14 @@
-"""Property: no scenario value makes `ghe verify` escape its exit codes.
+"""Properties: no scenario makes a command escape its exit codes.
 
 One key of a valid scenario is set to a value from a fixed pool of JSON
 values of every type and of extreme sizes.  The key is drawn from every
 path load_scenario reads, optional keys the file leaves out included.
 Whatever the value, `main` returns 0, 1 or 2 and never raises, and exit 2
 names a configuration error.
+
+Random general seed pairs, whose Q, R and T are expression trees, hold
+every command to the same contract, and exit 2 prints no verdict.  pytest
+turns a RuntimeWarning into a failure (see pyproject.toml).
 """
 
 import contextlib
@@ -17,8 +21,10 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _families import expr_trees
 from heavenly.cliapp import DEFAULT_TOLERANCES, main
-from test_cliapp import BASE as SHOCK
+from heavenly.exprdsl import to_source
+from test_cliapp import BASE as SHOCK, scenario_path
 
 GENERAL = dict(SHOCK, family="general", seeds=[
     {"Q": "p^2*y/2", "R": "p^2*z/2", "T": "p*t"}])
@@ -59,17 +65,17 @@ def with_value(base, path, value):
     return raw
 
 
-def run_verify(raw):
-    """(exit code, stderr) of `ghe verify` on raw at 20 points."""
-    err = io.StringIO()
+def run_command(raw, command="verify", points=20):
+    """(exit code, stdout, stderr) of a command on raw at points points."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         path.write_text(json.dumps(raw))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main(["verify", str(path), "--points", "20",
-                         "--report", str(Path(tmp) / "case.report.json")])
-    return code, err.getvalue()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--points", str(points),
+                         "--report", str(Path(tmp) / "case.report.json"),
+                         "--out", str(Path(tmp) / "case.csv")])
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -80,7 +86,27 @@ def run_verify(raw):
 @example(case=(SHOCK, ("branch",)), value={"p_lo": -1e308, "p_hi": 1e308})
 def test_malformed_value_exits_cleanly(case, value):
     base, path = case
-    code, err = run_verify(with_value(base, path, value))
+    code, _out, err = run_command(with_value(base, path, value))
     assert code in (0, 1, 2), (path, value, code)
     if code == 2:
         assert err.startswith("configuration error:"), (path, value, err)
+
+
+UNBALANCED = json.loads(Path(scenario_path("general_unbalanced")).read_text())
+GENERAL_SEED = st.fixed_dictionaries({
+    name: expr_trees(("p", axis), 3).map(to_source)
+    for name, axis in (("Q", "y"), ("R", "z"), ("T", "t"))})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seeds=st.lists(GENERAL_SEED, min_size=2, max_size=2))
+def test_random_general_seeds_exit_cleanly(seeds):
+    # general_unbalanced's box and shared profile, with seeds it should
+    # satisfy
+    raw = dict(UNBALANCED, seeds=seeds, expect="satisfy")
+    for command in ("verify", "balance", "fdcheck", "sample"):
+        code, out, err = run_command(raw, command, points=60)
+        assert code in (0, 1, 2), (command, seeds, code)
+        if code == 2:
+            assert err.startswith("configuration error:"), (command, err)
+            assert "verdict:" not in out, (command, out)
