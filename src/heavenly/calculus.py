@@ -16,17 +16,15 @@ which is the scale-free pass/fail quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .implicitsolve import as_cloud, cloud_lanes, lanes
+from .record import Record
 
 NORM_GUARD = 1e-300
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(Record):
     """Values and first partials of (p, q, r) over a cloud.
 
     Every field is an array with one lane per point and point is the
@@ -64,8 +62,7 @@ class FieldSample:
 FIELD_NAMES = ("p", "q", "r") + FieldSample.PARTIAL_NAMES
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     value: np.ndarray
     scale: np.ndarray
 

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .superpose import (
     OK,
     STATUS,
     balance_checks,
+    kept_per_point,
     reduce_chunks,
     solve_chunks,
     summarize,
@@ -36,6 +36,7 @@ from .superpose import (
 )
 from .exprdsl import ExprError, SmoothFn
 from .implicitsolve import BranchPolicy
+from .record import Record
 from .registry import FAMILIES, FamilyError, SharedProfile
 
 REPORT_SCHEMA_VERSION = 1
@@ -43,6 +44,7 @@ MAX_POINTS = 1_000_000      # cloud size bound: lane arrays scale with it
 MAX_RESOLUTION = 65536      # scan grid bound: the scan's cells scale with it
 HALTON_BASES = (2, 3, 5, 7)  # the first four primes, one per axis x, y, z, t
 CSV_BLOCK = 256             # sample rows turned into Python floats at once
+MAX_KEPT_FLOATS = 1 << 25   # kept floats bound, 256 MiB: see _check_kept
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,        # max normalized residual, expect=satisfy
@@ -58,8 +60,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     name: str
     family_kind: str            # a key of registry.FAMILIES
     shared: SharedProfile
@@ -77,11 +78,17 @@ class Scenario:
     def build_family(self):
         return FAMILIES[self.family_kind](self.seed_defs, self.shared)
 
+    def size(self, count=None) -> int:
+        """The number of points that points(count) gives."""
+        if self.explicit_points is not None:
+            return len(self.explicit_points)
+        return int(count if count is not None else self.count)
+
     def points(self, count=None, seed=None) -> np.ndarray:
         """The (N, 4) cloud: explicit points, or a Halton draw in the box."""
         if self.explicit_points is not None:
             return self.explicit_points.copy()
-        count = int(count if count is not None else self.count)
+        count = self.size(count)
         seed = int(seed if seed is not None else self.sample_seed)
         _check_count(count)
         lows = [self.box[ax][0] for ax in "xyzt"]
@@ -215,6 +222,17 @@ def _check_count(count: int, where: str = "sampling count"):
     if count > MAX_POINTS:
         raise ScenarioError(f"{where} {count} exceeds the bound "
                             f"of {MAX_POINTS} points")
+
+
+def _check_kept(command: str, seeds: int, points: int):
+    """Refuse a run whose kept floats, kept_per_point times the cloud size,
+    outgrow MAX_KEPT_FLOATS."""
+    per_point = kept_per_point(command, seeds)
+    if per_point * points > MAX_KEPT_FLOATS:
+        raise ScenarioError(f"{command} keeps {per_point} floats a point on "
+                            f"{seeds} seeds, {per_point * points} at "
+                            f"{points} points, above the bound of "
+                            f"{MAX_KEPT_FLOATS} floats")
 
 
 def _check_seed(seed, where: str):
@@ -505,8 +523,13 @@ def cmd_verify(scenario, family, points, tol, args) -> tuple[int, dict]:
         print(f"  {name:<20} max {_fmt(st['max'])}  median {_fmt(st['median'])}")
     print(f"  superposed pass fraction: {report.pass_fraction:.4f} "
           f"(threshold {tol['residual']:.1e})")
+    fields = {"n_points": report.n_points,
+              "n_admissible": report.n_admissible,
+              "n_holes": report.n_holes, "n_folds": report.n_folds,
+              "checks": ch, "pass_fraction": report.pass_fraction,
+              "threshold": report.threshold}
     return _verdict(failures, {"expect": scenario.expect, "tolerances": tol,
-                               "report": asdict(report)})
+                               "report": fields})
 
 
 def csv_header(n_seeds: int) -> list:
@@ -681,10 +704,12 @@ def main(argv=None) -> int:
             if csv.resolve() == report.resolve():
                 raise ScenarioError(f"--out and the report are one file: "
                                     f"{csv}")
-        family = scenario.build_family()
         count = args.points
         if count is None and args.command == "fdcheck":
             count = min(scenario.count, 100)
+        _check_kept(args.command, len(scenario.seed_defs),
+                    scenario.size(count))
+        family = scenario.build_family()
         points = scenario.points(count=count, seed=args.seed)
         tol = dict(scenario.tolerances)
         if args.tol is not None:

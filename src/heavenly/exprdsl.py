@@ -18,7 +18,8 @@ slower than `p*p*p`; a product can differ from `pow` in the last bit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from .record import Record
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 # Nesting bound of parentheses, calls, unary minus and ^ in a source: the
@@ -49,8 +50,7 @@ class EvalDomainError(ExprError):
         self.subexpr = subexpr
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record):
     """AST node.
 
     kind is one of "const", "var", "neg", "add", "sub", "mul", "div",
@@ -61,7 +61,7 @@ class Expr:
     kind: str
     value: float = 0.0
     name: str = ""
-    args: tuple = field(default_factory=tuple)
+    args: tuple = ()
 
 
 ZERO = Expr("const", 0.0)

@@ -9,12 +9,11 @@ sample, which superpose.solve_point chose: it certifies every lane given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import FieldSample
 from .implicitsolve import as_cloud, lanes, solve_on_sheet
+from .record import Record
 
 AXES = ("x", "y", "z", "t")
 STEP = 1e-20    # imaginary step; its square is far below rounding
@@ -23,8 +22,7 @@ _PARTIALS = tuple((name, "pqr".index(name[0]), AXES.index(name[2:]))
                   for name in FieldSample.PARTIAL_NAMES)
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Record):
     """Certification of every lane of one seed's sample.
 
     certified and holes count the lanes; deviations (partial name ->

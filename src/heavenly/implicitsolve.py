@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprdsl
+from .record import Record
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-12
@@ -80,8 +81,7 @@ class ImplicitRelation:
                          compare=False)
 
 
-@dataclass(frozen=True)
-class BranchPolicy:
+class BranchPolicy(Record):
     """Scan interval, resolution and branch selection rule.
 
     selection is "lowest", "nearest" (to p = 0) or an integer index
@@ -106,16 +106,14 @@ class BranchPolicy:
                              f"not {k!r}")
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(Record):
     root: float
     deriv: float
     iterations: int
     converged: bool = True
 
 
-@dataclass(frozen=True)
-class RootTable:
+class RootTable(Record):
     """Roots of a cloud as arrays, one entry per root, sorted by (owner, root).
 
     owner is the row of the cloud the root belongs to.  len() is the number

@@ -9,20 +9,19 @@ states its own in one table, VARIABLES, which scenario loading reads too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import calculus, implicitsolve
 from .exprdsl import SmoothFn
 from .implicitsolve import cloud_lanes, lanes
+from .record import Record
 
 
 class FamilyError(ValueError):
     """Raised on invalid family definitions (arity, variable convention)."""
 
 
-class _Expressions:
+class _Expressions(Record):
     """A definition whose expressions are the keys of its class table
     VARIABLES, each declared over the variables the table gives it."""
 
@@ -37,7 +36,6 @@ class _Expressions:
                     f"{expected}, got {fn.variables}")
 
 
-@dataclass(frozen=True)
 class SharedProfile(_Expressions):
     """Shared profile functions and the two free equation constants.
 
@@ -59,7 +57,6 @@ class SharedProfile(_Expressions):
             raise FamilyError("(a, b) must not both be zero")
 
 
-@dataclass(frozen=True)
 class ShockSolutionDef(_Expressions):
     """One seed of the superposable shock family: F(p), G(p), m(y), n(z)."""
 
@@ -71,7 +68,6 @@ class ShockSolutionDef(_Expressions):
     VARIABLES = {"F": ("p",), "G": ("p",), "m": ("y",), "n": ("z",)}
 
 
-@dataclass(frozen=True)
 class GeneralSolutionDef(_Expressions):
     """One seed of the general hodograph family: Q(p,y), R(p,z), T(p,t)."""
 

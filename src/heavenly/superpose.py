@@ -10,8 +10,6 @@ residual(superposed) = sum_i a_i^2 residual_i + sum_{i<j} a_i a_j cross_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import calculus
@@ -32,6 +30,7 @@ from .implicitsolve import (
     enumerate_roots,
     median,
 )
+from .record import Record
 
 OK, HOLE, FOLD = 0, 1, 2
 STATUS = ("ok", "hole", "fold")
@@ -84,8 +83,7 @@ def summarize(values: np.ndarray) -> dict:
             "median": median(values)}
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(Record):
     n_points: int
     n_admissible: int
     n_holes: int
@@ -95,8 +93,7 @@ class TheoremReport:
     threshold: float
 
 
-@dataclass(frozen=True)
-class CloudSolution:
+class CloudSolution(Record):
     """Solve status of every point of a cloud, and the seed samples at the
     admissible ones.
 
@@ -221,6 +218,18 @@ def balance_checks(samples, shared):
                                              shared).normalized
                     for i, j in cross],
     }
+
+
+def kept_per_point(command, n_seeds):
+    """Floats a point that a command keeps until its whole cloud is solved:
+    the lane arrays of theorem_checks for verify (3 a seed and 5 for the
+    superposed sample), of balance_checks for balance (2 a seed pair and
+    the n-term sum); sample and fdcheck keep none."""
+    if command == "verify":
+        return 3 * n_seeds + 5
+    if command == "balance":
+        return n_seeds * (n_seeds - 1) + 1
+    return 0
 
 
 def reduce_chunks(family, points, policy: BranchPolicy, checks):

@@ -5,7 +5,6 @@ Each test covers one numbered criterion and records a single
 the conftest terminal-summary hook.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -99,9 +98,9 @@ def test_criterion_3_balance(bank):
         # the reduced condition only involves the mixed partials of Q, R
         # and the t-partial of T, so the additive profiles m, n can be
         # zeroed before embedding without changing its value
-        stripped = [dataclasses.replace(
-            d, m=type(d.m).parse("0", ("y",)), n=type(d.n).parse("0", ("z",)))
-            for d in fam.defs]
+        stripped = [d.replace(m=type(d.m).parse("0", ("y",)),
+                              n=type(d.n).parse("0", ("z",)))
+                    for d in fam.defs]
         gdefs = [shock_def_as_general(d, fam.shared) for d in stripped]
         embedded = GeneralFamily(gdefs, fam.shared)
         cloud, _ = solve_point(fam, pts[:10], BranchPolicy())

@@ -12,7 +12,6 @@ status counts, each lane check into one float64 buffer and other values
 into one list, and `fdcheck` keeps a nan deviation of any slice.
 """
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -171,8 +170,8 @@ def test_a_nan_deviation_in_a_middle_slice_fails_fdcheck(tmp_path,
         calls.append(index)
         cert = certify(sample, family, index)
         if len(calls) == family.size + 1:
-            cert = dataclasses.replace(
-                cert, deviations=dict(cert.deviations, p_x=float("nan")))
+            cert = cert.replace(
+                deviations=dict(cert.deviations, p_x=float("nan")))
         return cert
 
     monkeypatch.setattr(fdoracle, "certify_sample", nan_in_slice_two)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import heavenly
-from heavenly import calculus, exprdsl
+from heavenly import calculus, cliapp, exprdsl, superpose
 from heavenly.cliapp import (
+    MAX_KEPT_FLOATS,
     MAX_POINTS,
     MAX_RESOLUTION,
     Scenario,
@@ -24,13 +25,23 @@ from heavenly.cliapp import (
     scrambled_halton,
 )
 from heavenly.fdoracle import certify_sample
-from heavenly.superpose import solve_point
+from heavenly.superpose import (
+    balance_checks,
+    kept_per_point,
+    reduce_chunks,
+    solve_point,
+    theorem_checks,
+)
 from test_golden import CASES
 
 GOLDEN = {case["name"]: case for case in CASES}
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("shock_n2", "shock_n3", "general_unbalanced", "general_balanced",
            "trivial_overlap")
+# README "Reading a verdict": the shipped scenario that verify passes and
+# balance fails
+PROBE = "general_weighted"
+COMMANDS = ("verify", "balance", "sample", "fdcheck")
 
 
 def scenario_path(name):
@@ -335,6 +346,59 @@ class TestInputBounds:
         assert "Traceback" not in err
         assert not Path("case.report.json").exists()
 
+    @pytest.mark.parametrize("command, points, message", [
+        ("balance", 20000, "balance keeps 3541 floats a point on 60 seeds, "
+                           "70820000 at 20000 points"),
+        ("verify", MAX_POINTS, "verify keeps 185 floats a point on 60 seeds, "
+                               "185000000 at 1000000 points"),
+        ("verify", 20000, None),
+        ("sample", MAX_POINTS, None),
+        ("fdcheck", MAX_POINTS, None),
+    ])
+    def test_kept_floats_bound(self, command, points, message, tmp_path,
+                               monkeypatch, capsys):
+        # 60 seeds: balance keeps 2 * 1770 pairs + 1 floats a point and
+        # verify 3 * 60 + 5; a run inside the bound goes on to the build
+        def built(scenario):
+            raise ScenarioError("family built")
+
+        monkeypatch.setattr(Scenario, "build_family", built)
+        path = write_scenario(tmp_path, dict(
+            BASE, seeds=BASE["seeds"] * 60, coefficients=[1.0] * 60))
+        assert main([command, path, "--points", str(points), "--report",
+                     str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == "configuration error: family built\n"
+        else:
+            assert err == (f"configuration error: {message}, above the "
+                           f"bound of {MAX_KEPT_FLOATS} floats\n")
+
+    @pytest.mark.parametrize("command", ["verify", "balance"])
+    def test_shipped_scenarios_fit_the_kept_floats_bound(self, command):
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            seeds = len(json.loads(path.read_text())["seeds"])
+            assert kept_per_point(command, seeds) * MAX_POINTS <= \
+                MAX_KEPT_FLOATS, path.name
+
+
+@pytest.mark.parametrize("command", ["verify", "balance"])
+def test_kept_floats_are_what_the_checks_keep(command):
+    # the lane arrays that reduce_chunks joins over shock_n3's admissible
+    # points, against kept_per_point
+    sc = load_scenario(scenario_path("shock_n3"))
+    family = sc.build_family()
+    checks = {"verify": lambda cloud: theorem_checks(
+                  cloud.samples, family.shared, sc.coefficients)[1],
+              "balance": lambda cloud: balance_checks(cloud.samples,
+                                                      family.shared)}
+    joined, counts = reduce_chunks(family, sc.points(40), sc.policy,
+                                   checks[command])
+    admissible = counts[superpose.OK]
+    assert admissible > 0
+    assert sum(len(v) for v in joined.values()) == \
+        kept_per_point(command, 3) * admissible
+
 
 class TestToleranceOption:
     """--tol is a finite number, not below 0: nan or inf would turn every
@@ -542,24 +606,31 @@ def test_violate_control_tells_a_bracket_orientation(term, tmp_path,
     assert "expected violation not observed" in capsys.readouterr().out
 
 
-def test_verify_weights_each_cross_term_by_its_coefficients(tmp_path):
+def test_verify_weights_each_cross_term_by_its_coefficients(shipped_runs):
     # README "Reading a verdict": three general seeds on general_unbalanced's
     # box, coefficients (1, 1, -1).  No pair balances, yet the weighted sum
     # c_1 c_2 B_12 + c_1 c_3 B_13 + c_2 c_3 B_23 cancels and the
     # superposition holds; the unweighted sum reads 8.25
-    raw = json.loads(Path(scenario_path("general_unbalanced")).read_text())
-    raw["seeds"].append({"Q": "p^2*y/2 + y^2", "R": "p^2*z/2", "T": "p*t"})
-    raw.update(coefficients=[1.0, 1.0, -1.0], expect="satisfy")
-    path = write_scenario(tmp_path, raw, "three_seeds.json")
-    report = tmp_path / "r.json"
-    assert main(["verify", path, "--report", str(report)]) == 0
-    checks = json.loads(report.read_text())["report"]["checks"]
+    raw = json.loads(Path(scenario_path(PROBE)).read_text())
+    base = json.loads(Path(scenario_path("general_unbalanced")).read_text())
+    assert raw["sampling"] == base["sampling"]
+    assert raw["seeds"] == base["seeds"] + [
+        {"Q": "p^2*y/2 + y^2", "R": "p^2*z/2", "T": "p*t"}]
+    assert (raw["coefficients"], raw["expect"]) == ([1.0, 1.0, -1.0],
+                                                    "satisfy")
+    code, report, _ = shipped_runs[PROBE, "verify"]
+    assert code == 0
+    checks = report["report"]["checks"]
     assert checks["n_term_balance"]["count"] == 400
     assert checks["n_term_balance"]["max"] < 1e-15
     # balance checks the pairs themselves: each fails, and so does their
     # unweighted sum
-    assert main(["balance", path, "--report", str(report)]) == 1
-    assert json.loads(report.read_text())["result"]["n_term"]["max"] > 8.0
+    code, report, _ = shipped_runs[PROBE, "balance"]
+    assert code == 1
+    assert report["result"]["n_term"]["max"] > 8.0
+    assert [shipped_runs[PROBE, command][0]
+            for command in ("fdcheck", "sample")] == [0, 0]
+    assert all(shipped_runs[PROBE, command][2] == [] for command in COMMANDS)
 
 
 class TestNanFails:
@@ -801,33 +872,28 @@ def test_infinite_root_derivative_is_a_hole(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["shock_n2", "shock_n3", "trivial_overlap"])
-def test_balance_checks_the_reduced_condition_on_shock_seeds(name, tmp_path,
-                                                             capsys):
+def test_balance_checks_the_reduced_condition_on_shock_seeds(name,
+                                                             shipped_runs):
     # on a shock seed (q_p, r_p, Phi_t) = F'(p) (beta', delta', alpha'), so
     # both factors of each pair's reduced term cancel to rounding
-    report = tmp_path / "report.json"
-    assert main(["balance", scenario_path(name), "--report",
-                 str(report)]) == 0
-    result = json.loads(report.read_text())["result"]
+    code, report, _ = shipped_runs[name, "balance"]
+    assert code == 0
+    result = report["result"]
     assert result["reduced"]["count"] == result["pairwise"]["count"] > 0
     assert result["reduced"]["max"] <= 1e-15
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_balance_and_fdcheck_cover_every_pair_and_seed(name, tmp_path,
-                                                       capsys):
+def test_balance_and_fdcheck_cover_every_pair_and_seed(name, shipped_runs):
     # at shipped size: balance reads a reduced term wherever it reads a
     # pairwise one, and fdcheck writes one deviation table per seed
     seeds = len(json.loads(Path(scenario_path(name)).read_text())["seeds"])
-    balance, fdcheck = tmp_path / "balance.json", tmp_path / "fdcheck.json"
-    assert main(["balance", scenario_path(name), "--report",
-                 str(balance)]) == 0
-    assert main(["fdcheck", scenario_path(name), "--report",
-                 str(fdcheck)]) == 0
-    result = json.loads(balance.read_text())["result"]
+    (balance_code, balance, _), (fdcheck_code, fdcheck, _) = (
+        shipped_runs[name, command] for command in ("balance", "fdcheck"))
+    assert (balance_code, fdcheck_code) == (0, 0)
+    result = balance["result"]
     assert result["reduced"]["count"] == result["pairwise"]["count"] > 0
-    assert len(json.loads(fdcheck.read_text())["result"]["deviations"]) == \
-        seeds
+    assert len(fdcheck["result"]["deviations"]) == seeds
 
 
 def test_fdcheck_reports_each_seeds_deviations(tmp_path, capsys):
@@ -866,26 +932,43 @@ def _call_one(tmp_path):
     return write_scenario(tmp_path, raw, "call_one.json")
 
 
-@pytest.mark.parametrize("name", SHIPPED + ("call_one",))
-def test_commands_compile_nothing_after_the_build(name, tmp_path,
-                                                  monkeypatch):
-    # the family's build compiles every expression a command evaluates,
-    # the scan's bound program included; every command exits 0, and a
-    # RuntimeWarning fails the test (see pyproject.toml)
-    path = _call_one(tmp_path) if name == "call_one" else scenario_path(name)
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """Each command once on each shipped scenario and on call_one, at
+    shipped size: (exit code, report, compile_expr calls made after the
+    family's build) by (scenario, command).  A RuntimeWarning raises in
+    the run, and fails every test that reads it (see pyproject.toml)."""
+    tmp_path = tmp_path_factory.mktemp("shipped_runs")
     compile_expr = exprdsl.compile_expr
     build = Scenario.build_family
-    calls = []
+    calls, runs = [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        def counted_after_build(scenario):
+            family = build(scenario)
+            mp.setattr(exprdsl, "compile_expr",
+                       lambda *a: calls.append(a) or compile_expr(*a))
+            return family
 
-    def counted_after_build(scenario):
-        family = build(scenario)
-        monkeypatch.setattr(exprdsl, "compile_expr",
-                            lambda *a: calls.append(a) or compile_expr(*a))
-        return family
+        mp.setattr(Scenario, "build_family", counted_after_build)
+        for name in SHIPPED + (PROBE, "call_one"):
+            path = _call_one(tmp_path) if name == "call_one" \
+                else scenario_path(name)
+            for command in COMMANDS:
+                mp.setattr(exprdsl, "compile_expr", compile_expr)
+                report = tmp_path / f"{name}.{command}.json"
+                code = main([command, path, "--report", str(report),
+                             "--out", str(tmp_path / "sample.csv")])
+                runs[name, command] = (code, json.loads(report.read_text()),
+                                       calls[:])
+                calls.clear()
+    return runs
 
-    monkeypatch.setattr(Scenario, "build_family", counted_after_build)
-    for command in ("verify", "balance", "sample", "fdcheck"):
-        monkeypatch.setattr(exprdsl, "compile_expr", compile_expr)
-        assert main([command, path, "--report", str(tmp_path / "r.json"),
-                     "--out", str(tmp_path / "sample.csv")]) == 0
+
+@pytest.mark.parametrize("name", SHIPPED + ("call_one",))
+def test_commands_compile_nothing_after_the_build(name, shipped_runs):
+    # the family's build compiles every expression a command evaluates,
+    # the scan's bound program included; every command exits 0
+    for command in COMMANDS:
+        code, _report, calls = shipped_runs[name, command]
+        assert code == 0, command
         assert calls == [], command

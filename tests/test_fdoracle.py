@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +101,7 @@ class TestCertifyCloud:
         fam, s = shock_cloud(40)
         p = s.p.copy()
         p[[1, 9, 20, 30]] = np.nan              # no on-sheet root: holes
-        mixed = dataclasses.replace(s, p=p)
+        mixed = s.replace(p=p)
         cert = certify_sample(mixed, fam, 0)
         assert (cert.certified, cert.holes) == (36, 4)
         assert cert.certified + cert.holes == len(p)
@@ -129,7 +128,7 @@ class TestCertifyCloud:
         with pytest.raises(ValueError, match="Phi_p"):
             certify_sample(superpose([s], [2.0]), fam, 0)
         with pytest.raises(ValueError, match="Phi_p"):
-            certify_sample(dataclasses.replace(s, Phi_p=None), fam, 0)
+            certify_sample(s.replace(Phi_p=None), fam, 0)
         assert certify_sample(s, fam, 0) == cert
 
     def test_no_lane_gives_an_empty_report(self):

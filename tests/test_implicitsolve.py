@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -311,8 +310,7 @@ class TestSolveOnSheet:
         fam, _, policy = build(GOLDEN[name])
         cloud, _ = solve_point(fam, np.array(GOLDEN[name]["points"]), policy)
         for i, s in enumerate(cloud.samples):
-            cert = certify_sample(dataclasses.replace(s, Phi_p=1.3 * s.Phi_p),
-                                  fam, i)
+            cert = certify_sample(s.replace(Phi_p=1.3 * s.Phi_p), fam, i)
             assert (cert.certified, cert.holes) == (len(cloud.admissible), 0)
             assert max(cert.deviations.values()) <= 1e-12
 

@@ -150,9 +150,9 @@ class TestOneDPerRoot:
         pts = cloud.points[cloud.admissible]
         for i, s in enumerate(cloud.samples):
             again = fam.sample(i, pts, s.p, s.Phi_p)
-            for field in dataclasses.fields(FieldSample):
-                assert getattr(again, field.name).tobytes() == \
-                    getattr(s, field.name).tobytes(), field.name
+            for name in FieldSample._fields:
+                assert getattr(again, name).tobytes() == \
+                    getattr(s, name).tobytes(), name
             assert certify_sample(again, fam, i) == certs[i]
 
     @pytest.mark.parametrize("name", SHIPPED + ("call_one",))
